@@ -1,7 +1,8 @@
 // Multi-GCD scaling study: the system the paper motivates ("establish the
 // basis for distributed BFS on AMD GPUs") quantified on the simulator.
 //
-// Runs the distributed direction-optimizing BFS on the Rmat25 stand-in
+// Runs the distributed direction-optimizing BFS (shard::ShardSweep over a
+// single-replica ShardedStore, one shard per GCD) on the Rmat25 stand-in
 // across 1..8 simulated GCDs (one Frontier node) and reports aggregate
 // GTEPS, parallel efficiency and the communication share — then puts the
 // per-GCD number next to the paper's Graph500 comparison (CPU-based
@@ -21,12 +22,12 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "dist/dist_bfs.h"
 #include "graph/g500_validate.h"
 #include "graph/rmat.h"
 #include "hipsim/fault.h"
 #include "hipsim/sanitizer.h"
 #include "shard/router.h"
+#include "shard/shard_bfs.h"
 #include "shard/sharded_store.h"
 
 using namespace xbfs;
@@ -288,13 +289,15 @@ int main(int argc, char** argv) {
               "GTEPS/GCD", "efficiency", "comm share", "depth");
   double gteps_1 = 0;
   for (unsigned g : {1u, 2u, 4u, 8u}) {
-    dist::DistConfig cfg;
-    cfg.gcds = g;
-    dist::DistBfs bfs(d.host, cfg);
+    shard::ShardStoreConfig scfg;
+    scfg.shards = g;
+    shard::ShardedStore store(d.host, scfg);
+    shard::ShardSweep sweep(store);
+    const std::vector<int> plan(g, 0);  // replica 0 of every shard
     double gteps_sum = 0, comm_share = 0;
     std::uint32_t depth = 0;
     for (graph::vid_t src : sources) {
-      const dist::DistBfsResult r = bfs.run(src);
+      const shard::ShardSweepResult r = sweep.run(src, plan);
       gteps_sum += r.gteps;
       comm_share += r.comm_ms / r.total_ms;
       depth = std::max(depth, r.depth);
@@ -319,15 +322,17 @@ int main(int argc, char** argv) {
     rp.seed = opt.seed;
     const graph::Csr wg = graph::rmat_csr(rp);
     const auto wgiant = graph::largest_component_vertices(wg);
-    dist::DistConfig cfg;
-    cfg.gcds = g;
-    dist::DistBfs bfs(wg, cfg);
+    shard::ShardStoreConfig scfg;
+    scfg.shards = g;
+    shard::ShardedStore store(wg, scfg);
+    shard::ShardSweep sweep(store);
+    const std::vector<int> plan(g, 0);
     double gteps_sum = 0, comm_share = 0;
     std::uint32_t depth = 0;
     const unsigned runs = std::max(1u, opt.sources / 2);
     for (unsigned i = 0; i < runs; ++i) {
-      const dist::DistBfsResult r =
-          bfs.run(wgiant[i * wgiant.size() / runs]);
+      const shard::ShardSweepResult r =
+          sweep.run(wgiant[i * wgiant.size() / runs], plan);
       gteps_sum += r.gteps;
       comm_share += r.comm_ms / r.total_ms;
       depth = std::max(depth, r.depth);

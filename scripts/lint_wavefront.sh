@@ -50,7 +50,7 @@ for d in "${DIRS[@]}"; do
       if [[ "$code" =~ __popc\( ]]; then
         report "popc32-on-ballot" "$loc: $code"
       fi
-      lower=$(printf '%s' "$code" | tr '[:upper:]' '[:lower:]')
+      lower=${code,,}
       if [[ "$lower" =~ 0xffffffff([^f]|$) ]] &&
          [[ "$lower" =~ mask|ballot|lane|wavefront|warp|vote|shfl ]]; then
         report "warp32-full-mask" "$loc: $code"

@@ -12,8 +12,8 @@
 //                   optimized BFS — shrink to ~1-2 bytes per vertex.
 //
 // The encoder picks per slice; the decoder ORs either form back into a
-// destination bitmap, so the exchange stays an OR-merge exactly like the
-// uncompressed dist::DistBfs path.  wire_bytes() is what the modelled
+// destination bitmap, so the exchange stays an OR-merge exactly like an
+// uncompressed bitmap exchange.  wire_bytes() is what the modelled
 // fabric charges; raw_bytes() is the uncompressed cost the compression
 // ratio is reported against.
 #pragma once

@@ -69,8 +69,8 @@ struct ShardMemoryReport {
 class ShardedStore {
  public:
   /// One shard replica: a full simulated device plus the sweep's working
-  /// set.  Buffer roles mirror dist::DistBfs (status is local-row indexed,
-  /// bitmaps are global, queue holds owned frontier vertices).
+  /// set (shard/shard_bfs.h): status is local-row indexed, bitmaps are
+  /// global, queue holds owned frontier vertices.
   struct Replica {
     std::unique_ptr<sim::Device> device;
     std::shared_ptr<const dist::LocalRows> rows;  ///< shared across replicas

@@ -1,14 +1,11 @@
-// Tests for the distributed multi-GCD layer: partitioning, the fabric cost
-// model, and end-to-end distributed BFS correctness across GCD counts,
-// graphs and alpha settings.
+// Tests for the distributed multi-GCD layer: 1D partitioning, local-row
+// extraction and the fabric cost model.  The distributed sweep built on
+// them is tested in test_shard.cpp.
 #include <gtest/gtest.h>
 
-#include "dist/dist_bfs.h"
 #include "dist/interconnect.h"
 #include "dist/partition.h"
-#include "graph/generators.h"
-#include "graph/reference.h"
-#include "graph/rmat.h"
+#include "graph/builder.h"
 
 namespace xbfs::dist {
 namespace {
@@ -117,121 +114,6 @@ TEST(FabricModel, CollectiveCostsScaleSanely) {
   // Crossing the node boundary drops to Slingshot bandwidth.
   EXPECT_GT(f.allgather_us(16, 1 << 24) / f.allgather_us(8, 1 << 24), 1.9);
   EXPECT_GT(f.allreduce_scalar_us(8), f.allreduce_scalar_us(2));
-}
-
-void expect_dist_matches_reference(const graph::Csr& g, unsigned gcds,
-                                   double alpha = 0.1) {
-  DistConfig cfg;
-  cfg.gcds = gcds;
-  cfg.alpha = alpha;
-  cfg.device_options.num_workers = 1;
-  DistBfs bfs(g, cfg);
-  const auto giant = graph::largest_component_vertices(g);
-  for (graph::vid_t src : {giant.front(), giant[giant.size() / 2]}) {
-    const DistBfsResult r = bfs.run(src);
-    const auto ref = graph::reference_bfs(g, src);
-    ASSERT_EQ(r.levels.size(), ref.size());
-    for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(r.levels[v], ref[v])
-          << "gcds=" << gcds << " src=" << src << " v=" << v;
-    }
-    EXPECT_GT(r.total_ms, 0.0);
-    if (gcds > 1) EXPECT_GT(r.comm_ms, 0.0);
-    EXPECT_LE(r.comm_ms, r.total_ms);
-  }
-}
-
-class DistBfsParam : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(DistBfsParam, MatchesReferenceOnRmat) {
-  graph::RmatParams p;
-  p.scale = 11;
-  p.edge_factor = 8;
-  p.seed = 7;
-  expect_dist_matches_reference(graph::rmat_csr(p), GetParam());
-}
-
-TEST_P(DistBfsParam, MatchesReferenceOnLongDiameter) {
-  expect_dist_matches_reference(graph::layered_citation(6000, 60, 4, 3),
-                                GetParam());
-}
-
-TEST_P(DistBfsParam, MatchesReferenceTopDownOnly) {
-  graph::RmatParams p;
-  p.scale = 10;
-  p.edge_factor = 8;
-  p.seed = 8;
-  expect_dist_matches_reference(graph::rmat_csr(p), GetParam(),
-                                /*alpha=*/2.0);
-}
-
-TEST_P(DistBfsParam, MatchesReferenceBottomUpHeavy) {
-  graph::RmatParams p;
-  p.scale = 10;
-  p.edge_factor = 16;
-  p.seed = 9;
-  expect_dist_matches_reference(graph::rmat_csr(p), GetParam(),
-                                /*alpha=*/0.005);
-}
-
-INSTANTIATE_TEST_SUITE_P(GcdCounts, DistBfsParam,
-                         ::testing::Values(1u, 2u, 3u, 4u, 8u),
-                         [](const ::testing::TestParamInfo<unsigned>& info) {
-                           return "gcds" + std::to_string(info.param);
-                         });
-
-TEST(DistBfs, BottomUpLevelsAvoidCandidateExchange) {
-  // At the ratio peak the bottom-up direction needs one collective instead
-  // of two: per-level comm must be lower than a forced top-down run's.
-  graph::RmatParams p;
-  p.scale = 12;
-  p.edge_factor = 16;
-  p.seed = 4;
-  const graph::Csr g = graph::rmat_csr(p);
-  const auto giant = graph::largest_component_vertices(g);
-
-  DistConfig adaptive;
-  adaptive.gcds = 4;
-  adaptive.device_options.num_workers = 1;
-  DistConfig topdown = adaptive;
-  topdown.alpha = 2.0;  // never bottom-up
-
-  DistBfs a(g, adaptive), t(g, topdown);
-  const DistBfsResult ra = a.run(giant.front());
-  const DistBfsResult rt = t.run(giant.front());
-  bool saw_bottom_up = false;
-  for (const auto& st : ra.level_stats) saw_bottom_up |= st.bottom_up;
-  EXPECT_TRUE(saw_bottom_up);
-  EXPECT_LT(ra.comm_ms, rt.comm_ms);
-  EXPECT_EQ(ra.levels, rt.levels);
-}
-
-TEST(DistBfs, DisconnectedSourceTerminates) {
-  const graph::Csr g = graph::build_csr(100, {{1, 2}, {2, 3}});
-  DistConfig cfg;
-  cfg.gcds = 4;
-  cfg.device_options.num_workers = 1;
-  DistBfs bfs(g, cfg);
-  const DistBfsResult r = bfs.run(0);
-  EXPECT_EQ(r.levels[0], 0);
-  EXPECT_EQ(r.levels[1], -1);
-  EXPECT_EQ(r.depth, 1u);
-}
-
-TEST(DistBfs, RepeatedRunsAreIndependent) {
-  graph::RmatParams p;
-  p.scale = 10;
-  p.edge_factor = 8;
-  p.seed = 2;
-  const graph::Csr g = graph::rmat_csr(p);
-  DistConfig cfg;
-  cfg.gcds = 2;
-  cfg.device_options.num_workers = 1;
-  DistBfs bfs(g, cfg);
-  const auto giant = graph::largest_component_vertices(g);
-  const auto first = bfs.run(giant[0]).levels;
-  bfs.run(giant[giant.size() / 2]);
-  EXPECT_EQ(bfs.run(giant[0]).levels, first);
 }
 
 }  // namespace

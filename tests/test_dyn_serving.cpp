@@ -99,6 +99,44 @@ TEST(DynResultCache, UnprimedCacheNeverReaps) {
   EXPECT_EQ(cache.stats().stale_hits_avoided, 0u);
 }
 
+TEST(DynResultCache, CrossedShardReapsDoNotDeadlock) {
+  // Two get()s whose live and stale keys land in crossed shards: each one
+  // reaps a twin from the shard the other looks up first.  A get() that
+  // kept its own shard locked while taking the twin's would invert lock
+  // order against the other (ThreadSanitizer reports it; a bad interleaving
+  // deadlocks).
+  constexpr std::uint64_t kLive = 200;
+  constexpr std::uint64_t kStale = 100;
+  // Shard placement is private, but a 2-shard cache with one slot per shard
+  // reveals it: two puts evict iff their keys share a shard.
+  auto same_shard = [](std::uint64_t fp_a, vid_t a, std::uint64_t fp_b,
+                       vid_t b) {
+    ResultCache probe(2, 2);
+    probe.put(fp_a, a, make_result(1));
+    probe.put(fp_b, b, make_result(1));
+    return probe.stats().evictions == 1;
+  };
+  vid_t a = 0;
+  while (same_shard(kLive, a, kStale, a)) ++a;
+  vid_t b = a + 1;
+  while (!same_shard(kLive, b, kStale, a) || !same_shard(kStale, b, kLive, a)) {
+    ++b;
+  }
+
+  ResultCache cache(64, 2);
+  cache.prime(kStale);
+  cache.epoch_bump(kLive);
+  // Late puts under the retired fingerprint, after the bump's sweep.
+  cache.put(kStale, a, make_result(1));
+  cache.put(kStale, b, make_result(1));
+  std::thread ta([&] { EXPECT_FALSE(static_cast<bool>(cache.get(kLive, a))); });
+  std::thread tb([&] { EXPECT_FALSE(static_cast<bool>(cache.get(kLive, b))); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().stale_hits_avoided, 2u);
+}
+
 // --- dynamic server -------------------------------------------------------
 
 std::vector<std::int32_t> query_levels(Server& server, vid_t src) {

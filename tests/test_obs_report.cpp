@@ -10,12 +10,12 @@
 #include "baseline/simple_scan.h"
 #include "core/report.h"
 #include "core/xbfs.h"
-#include "dist/dist_bfs.h"
 #include "graph/builder.h"
 #include "graph/device_csr.h"
 #include "hipsim/hipsim.h"
 #include "json_mini.h"
 #include "obs/run_report.h"
+#include "shard/shard_bfs.h"
 
 namespace xbfs {
 namespace {
@@ -162,11 +162,11 @@ TEST(RunReport, BaselineAndDistAddRecords) {
     scan.run(0);
   }
   {
-    dist::DistConfig dc;
-    dc.gcds = 2;
-    dc.device_options.num_workers = 1;
-    dist::DistBfs dbfs(g, dc);
-    dbfs.run(0);
+    shard::ShardStoreConfig sc;
+    sc.shards = 2;
+    sc.device_options.num_workers = 1;
+    shard::ShardedStore store(g, sc);
+    shard::ShardSweep(store).run(0, {0, 0});
   }
 
   const auto runs = session.snapshot();

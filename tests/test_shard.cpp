@@ -6,6 +6,7 @@
 #include <numeric>
 #include <queue>
 
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
 #include "graph/rmat.h"
@@ -280,6 +281,7 @@ void expect_sweep_matches_reference(const graph::Csr& g, unsigned shards,
     EXPECT_FALSE(r.partial);
     EXPECT_EQ(r.shards_live, shards);
     EXPECT_GT(r.total_ms, 0.0);
+    EXPECT_LE(r.comm_ms, r.total_ms);
     if (shards > 1) {
       EXPECT_GT(r.comm_ms, 0.0);
       EXPECT_GT(r.wire_bytes, 0u);
@@ -303,8 +305,34 @@ TEST_P(ShardSweepParam, MatchesReferenceOnLongDiameter) {
                                  GetParam());
 }
 
+TEST_P(ShardSweepParam, MatchesReferenceOnSixtyLayers) {
+  // Deeper and wider than the chain above: more levels cross each shard
+  // boundary before the frontier saturates.
+  expect_sweep_matches_reference(graph::layered_citation(6000, 60, 4, 3),
+                                 GetParam());
+}
+
+TEST_P(ShardSweepParam, MatchesReferenceTopDownOnly) {
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  p.seed = 8;
+  expect_sweep_matches_reference(graph::rmat_csr(p), GetParam(),
+                                 /*alpha=*/2.0);
+}
+
+TEST_P(ShardSweepParam, MatchesReferenceBottomUpHeavy) {
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 16;
+  p.seed = 9;
+  expect_sweep_matches_reference(graph::rmat_csr(p), GetParam(),
+                                 /*alpha=*/0.005);
+}
+
+// 3 shards: uneven ranges whose boundaries straddle bitmap words.
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardSweepParam,
-                         ::testing::Values(1u, 2u, 4u, 8u),
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u),
                          [](const ::testing::TestParamInfo<unsigned>& info) {
                            return "shards" + std::to_string(info.param);
                          });
@@ -355,6 +383,78 @@ TEST(ShardSweep, MalformedPlanThrows) {
   ShardSweep sweep(store, {});
   EXPECT_THROW(sweep.run(0, {0}), std::invalid_argument);       // wrong size
   EXPECT_THROW(sweep.run(0, {0, 7}), std::invalid_argument);    // bad replica
+}
+
+TEST(ShardSweep, SourceOutsideTheGraphThrows) {
+  const graph::Csr g = graph::build_csr(64, {{0, 1}});
+  ShardedStore store(g, small_cfg(2));
+  ShardSweep sweep(store, {});
+  EXPECT_THROW(sweep.run(64, full_plan(store)), std::invalid_argument);
+  EXPECT_THROW(sweep.run(1u << 30, full_plan(store)), std::invalid_argument);
+
+  const graph::Csr empty = graph::build_csr(0, {});
+  ShardedStore empty_store(empty, small_cfg(2));
+  ShardSweep empty_sweep(empty_store, {});
+  EXPECT_THROW(empty_sweep.run(0, full_plan(empty_store)),
+               std::invalid_argument);
+}
+
+TEST(ShardSweep, DisconnectedSourceTerminates) {
+  const graph::Csr g = graph::build_csr(100, {{1, 2}, {2, 3}});
+  ShardedStore store(g, small_cfg(4));
+  ShardSweep sweep(store, {});
+  const ShardSweepResult r = sweep.run(0, full_plan(store));
+  EXPECT_EQ(r.levels[0], 0);
+  EXPECT_EQ(r.levels[1], -1);
+  EXPECT_EQ(r.depth, 1u);
+}
+
+TEST(ShardSweep, RepeatedRunsAreIndependent) {
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  p.seed = 2;
+  const graph::Csr g = graph::rmat_csr(p);
+  ShardedStore store(g, small_cfg(2));
+  ShardSweep sweep(store, {});
+  const auto giant = graph::largest_component_vertices(g);
+  const auto first = sweep.run(giant[0], full_plan(store)).levels;
+  sweep.run(giant[giant.size() / 2], full_plan(store));
+  EXPECT_EQ(sweep.run(giant[0], full_plan(store)).levels, first);
+}
+
+TEST(ShardSweep, BottomUpLevelsAvoidCandidateExchange) {
+  // A bottom-up level moves one bitmap's worth of raw frontier (the cleaned
+  // broadcast); a top-down level also moves every owner's candidate slice
+  // from each other shard, `shards` bitmaps in all.
+  graph::RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 16;
+  p.seed = 4;
+  const graph::Csr g = graph::rmat_csr(p);
+  const auto giant = graph::largest_component_vertices(g);
+  ShardedStore store(g, small_cfg(4));
+  ShardSweepConfig topdown_only;
+  topdown_only.alpha = 2.0;  // never bottom-up
+  const ShardSweepResult ra =
+      ShardSweep(store, {}).run(giant.front(), full_plan(store));
+  const ShardSweepResult rt =
+      ShardSweep(store, topdown_only).run(giant.front(), full_plan(store));
+
+  const std::uint64_t bitmap = (g.num_vertices() + 63) / 64 * 8;
+  ASSERT_EQ(bitmap, 512u);
+  bool saw_bottom_up = false;
+  for (const ShardLevelStats& st : ra.level_stats) {
+    saw_bottom_up |= st.bottom_up;
+    EXPECT_EQ(st.raw_bytes, st.bottom_up ? bitmap : 4 * bitmap)
+        << "level " << st.level;
+  }
+  EXPECT_TRUE(saw_bottom_up);
+  for (const ShardLevelStats& st : rt.level_stats) {
+    EXPECT_FALSE(st.bottom_up);
+    EXPECT_EQ(st.raw_bytes, 4 * bitmap) << "level " << st.level;
+  }
+  EXPECT_EQ(ra.levels, rt.levels);
 }
 
 TEST(ShardSweep, RunsOnNonZeroReplicas) {
