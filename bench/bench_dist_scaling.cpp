@@ -10,7 +10,7 @@
 //
 // --serve switches to the sharded-serving study (docs/sharding.md): a graph
 // deliberately too large for one budget-capped GCD is partitioned across a
-// shard fleet and served through shard::ShardRouter, sweeping the shard
+// shard fleet and served through serve::Server, sweeping the shard
 // count to show the modelled p99 staying sublinear in shard count.
 // --chaos adds a resilience sub-phase (killed replica + fault injection:
 // queries reroute, validate Graph500-clean, and none fail), and under
@@ -26,7 +26,7 @@
 #include "graph/rmat.h"
 #include "hipsim/fault.h"
 #include "hipsim/sanitizer.h"
-#include "shard/router.h"
+#include "serve/server.h"
 #include "shard/shard_bfs.h"
 #include "shard/sharded_store.h"
 
@@ -65,22 +65,22 @@ ServeOptions parse_serve(int argc, char** argv) {
   return o;
 }
 
-/// Run `queries` distinct-source queries through a router over `store` and
-/// return the stats after drain (the router keeps running for callers that
-/// want to submit more before shutdown).
-shard::RouterStats drive_queries(shard::ShardRouter& router,
+/// Run `queries` distinct-source queries through a server over a sharded
+/// store and return the stats after drain (the server keeps running for
+/// callers that want to submit more before shutdown).
+serve::ServerStats drive_queries(serve::Server& server,
                                  const std::vector<graph::vid_t>& giant,
                                  std::size_t queries) {
   for (std::size_t i = 0; i < queries; ++i) {
     const graph::vid_t src = giant[(i * giant.size()) / queries];
-    serve::Admission a = router.submit(src);
+    serve::Admission a = server.submit(src);
     if (!a.accepted) {
       std::fprintf(stderr, "submit rejected: %s\n", a.status.to_string().c_str());
       std::exit(1);
     }
   }
-  router.drain();
-  return router.stats();
+  server.drain();
+  return server.stats();
 }
 
 int run_serving_study(const ServeOptions& opt, std::uint64_t seed) {
@@ -122,11 +122,9 @@ int run_serving_study(const ServeOptions& opt, std::uint64_t seed) {
     const shard::ShardMemoryReport mem = store.memory_report();
     if (shards == 4) oversub = mem.oversubscription;
 
-    shard::RouterConfig rcfg;
-    rcfg.workers = 2;
-    shard::ShardRouter router(store, rcfg);
-    const shard::RouterStats st = drive_queries(router, giant, opt.queries);
-    router.shutdown();
+    serve::Server server(store);
+    const serve::ServerStats st = drive_queries(server, giant, opt.queries);
+    server.shutdown();
     if (st.failed != 0 || st.completed != opt.queries) {
       std::fprintf(stderr, "serving sweep lost queries (%llu/%zu, %llu failed)\n",
                    static_cast<unsigned long long>(st.completed), opt.queries,
@@ -148,7 +146,7 @@ int run_serving_study(const ServeOptions& opt, std::uint64_t seed) {
               "(sublinear < 2.00x)\n", p99_ratio);
 
   // --- chaos sub-phase: kill a replica, inject faults, keep serving --------
-  shard::RouterStats cst;
+  serve::ServerStats cst;
   bool chaos_valid = false;
   if (opt.chaos) {
     print_header("chaos: killed replica + fault injection (4 shards x 2)");
@@ -165,23 +163,25 @@ int run_serving_study(const ServeOptions& opt, std::uint64_t seed) {
     shard::ShardedStore store(g, scfg);
     store.kill_replica(1, 0);  // a dead primary: its queries must reroute
 
-    shard::RouterConfig rcfg;
-    rcfg.workers = 2;
-    rcfg.max_attempts = 6;
-    rcfg.slo_scope = "shard-chaos";
-    shard::ShardRouter router(store, rcfg);
-    cst = drive_queries(router, giant, opt.queries);
+    serve::ServeConfig serve_cfg;
+    serve_cfg.max_attempts = 6;
+    // No host rung: every completed query must come from a sibling replica's
+    // sweep, so the failed/probe gates below prove the reroute worked.
+    serve_cfg.host_fallback = false;
+    serve_cfg.slo_scope = "shard-chaos";
+    serve::Server server(store, serve_cfg);
+    cst = drive_queries(server, giant, opt.queries);
 
     // Served-correctness probe under injection: Graph500-clean levels.
-    serve::Admission probe = router.submit(giant.front());
+    serve::Admission probe = server.submit(giant.front());
     if (probe.accepted) {
       const serve::QueryResult r = probe.result.get();
       chaos_valid = r.status == serve::QueryStatus::Completed && !r.partial &&
                     graph::validate_levels_graph500(g, r.source, *r.levels)
                         .empty();
     }
-    router.shutdown();
-    cst = router.stats();
+    server.shutdown();
+    cst = server.stats();
     sim::FaultInjector::global().disable();
 
     std::printf("completed %llu  failed %llu  rerouted %llu  retries %llu  "

@@ -67,16 +67,17 @@ wire = int(cfg["exchange_wire_bytes"])
 raw = int(cfg["exchange_raw_bytes"])
 assert 0 < wire < raw, f"compressed exchange not smaller than raw ({wire}/{raw})"
 
-# --- per-router summaries (emitted by ShardRouter::shutdown) ---------------
-routers = [r for r in runs if r["tool"] == "shard_router"]
-assert len(routers) >= 3, f"expected >= 3 shard_router records, got {len(routers)}"
-shard_counts = {r["config"]["shards"] for r in routers}
+# --- sharded server summaries (the "serve" records carrying `shards`,
+# emitted by serve::Server::shutdown over a ShardedStore) -------------------
+servers = [r for r in runs if r["tool"] == "serve" and "shards" in r["config"]]
+assert len(servers) >= 3, f"expected >= 3 sharded serve records, got {len(servers)}"
+shard_counts = {r["config"]["shards"] for r in servers}
 assert {"4", "8"} <= shard_counts, shard_counts
-for r in routers:
+for r in servers:
     rcfg = r["config"]
     for key in ("replicas", "serving_fingerprint", "compression_ratio",
                 "modelled_p99_ms", "breaker_opens"):
-        assert key in rcfg, f"shard_router summary missing '{key}'"
+        assert key in rcfg, f"sharded serve summary missing '{key}'"
 
 print(f"OK: oversub={oversub:.2f}x p99_ratio={ratio:.2f}x "
       f"compression={raw / wire:.2f}x "

@@ -51,8 +51,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/algorithm_engine.h"
 #include "core/config.h"
-#include "core/traversal_engine.h"
 #include "dyn/graph_store.h"
 #include "hipsim/device.h"
 

@@ -71,7 +71,7 @@ struct SloSnapshot {
   SloWindow window;               ///< all lanes combined
   std::vector<SloWindow> per_gcd;
   /// Human-readable lane names (same indexing as per_gcd; empty string for
-  /// unlabeled lanes).  The sharded router labels its per-shard-replica
+  /// unlabeled lanes).  A sharded server labels its per-shard-replica
   /// lanes "s<shard>r<replica>" so burn-rate dashboards name the replica,
   /// not a flat slot index.
   std::vector<std::string> lane_labels;

@@ -102,6 +102,14 @@ void HealthTracker::record_failure(unsigned slot, double now_us) {
   if (opened) ++counters_.opens;
 }
 
+void HealthTracker::release(unsigned slot) {
+  if (slot >= slots_.size()) return;
+  sim::chk_point("serve.health.release", slot);
+  Slot& s = slots_[slot];
+  std::lock_guard<std::mutex> lk(s.mu);
+  s.probe_outstanding = false;
+}
+
 BreakerState HealthTracker::state(unsigned slot) const {
   // Out-of-range slots answer Open — never routable — mirroring allow().
   if (slot >= slots_.size()) return BreakerState::Open;

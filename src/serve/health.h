@@ -47,6 +47,10 @@ class HealthTracker {
 
   void record_success(unsigned slot);
   void record_failure(unsigned slot, double now_us);
+  /// Hand back an allow() grant whose work never ran (or ran but is not
+  /// this slot's to judge): clears an outstanding HalfOpen probe token so
+  /// the next allow() can probe again.  The breaker state is unchanged.
+  void release(unsigned slot);
 
   BreakerState state(unsigned slot) const;
 
@@ -55,8 +59,8 @@ class HealthTracker {
   unsigned pick(unsigned preferred, double now_us);
 
   /// pick() restricted to a replica group: the first allowed slot among
-  /// `group`, preferring `preferred` (a slot id, not a group index).  The
-  /// sharded router keeps one tracker across shards x replicas and routes
+  /// `group`, preferring `preferred` (a slot id, not a group index).  A
+  /// sharded Server keeps one tracker across shards x replicas and routes
   /// each shard's work within its own group; kNone means the shard has no
   /// healthy replica and the query degrades to a partial result.
   unsigned pick_in(const std::vector<unsigned>& group, unsigned preferred,

@@ -57,8 +57,8 @@ struct QueryOptions {
   bool bypass_cache = false;
 };
 
-/// Deadline arithmetic shared by every admission lane (Server::submit,
-/// ShardRouter::submit, the update lane): 0 inherits `default_timeout_ms`,
+/// Deadline arithmetic shared by every admission lane (Server::submit and
+/// the update lane): 0 inherits `default_timeout_ms`,
 /// and only a strictly positive resolved budget creates a deadline.
 /// Historically a resolved budget of exactly 0 produced `deadline == now`
 /// — every such query expired at dispatch despite the "0 inherits the
@@ -82,7 +82,10 @@ struct QueryResult {
   std::uint32_t depth = 0;   ///< == payload.depth (fixpoint rounds run)
   bool cache_hit = false;
   unsigned batch_size = 0;   ///< distinct sources sharing the sweep (1 = singleton path; 0 = no traversal)
-  unsigned gcd = 0;          ///< worker/device that served it
+  /// Worker/device that served it; on a sharded server the source shard's
+  /// home slot of the sweep, or num_slots() when no replica produced the
+  /// outcome (host rung, failure).
+  unsigned gcd = 0;
   double queue_ms = 0.0;     ///< enqueue -> dispatch (wall)
   double service_ms = 0.0;   ///< dispatch -> complete (wall)
   double total_ms = 0.0;     ///< enqueue -> complete (wall)
@@ -95,7 +98,7 @@ struct QueryResult {
   bool validated = false;    ///< payload passed its kind's host validator
   xbfs::Status error;        ///< terminal failure detail when status==Failed
 
-  // --- sharded serving (shard::ShardRouter; zero on single-graph servers) --
+  // --- sharded backing (Server over a ShardedStore; zero otherwise) --------
   unsigned shards = 0;       ///< shard owners fanned out to (0 = unsharded)
   unsigned shards_lost = 0;  ///< owners with no healthy replica this query
   /// Some shard had no healthy replica: levels are complete for the live

@@ -20,10 +20,15 @@
 #include "obs/json_writer.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "shard/shard_bfs.h"
+#include "shard/sharded_store.h"
 
 namespace xbfs::serve {
 
 namespace {
+
+/// Cap on the exponential retry backoff.
+constexpr double kRetryBackoffMaxMs = 5.0;
 
 std::string fmt_double(double v) {
   char buf[32];
@@ -128,17 +133,14 @@ xbfs::Status ServeConfig::validate() const {
         std::to_string(algos::kMaxConcurrentSources) + "], got " +
         std::to_string(min_sweep_sources));
   }
-  if (cache_shards < 1) {
-    return xbfs::Status::Invalid("cache_shards must be >= 1");
-  }
   if (batch_window_ms < 0.0) {
     return xbfs::Status::Invalid("batch_window_ms must be >= 0");
   }
   if (max_attempts < 1) {
     return xbfs::Status::Invalid("max_attempts must be >= 1");
   }
-  if (retry_backoff_ms < 0.0 || retry_backoff_max_ms < 0.0) {
-    return xbfs::Status::Invalid("retry backoffs must be >= 0");
+  if (retry_backoff_ms < 0.0) {
+    return xbfs::Status::Invalid("retry_backoff_ms must be >= 0");
   }
   if (breaker_failure_threshold < 1) {
     return xbfs::Status::Invalid("breaker_failure_threshold must be >= 1");
@@ -167,18 +169,24 @@ xbfs::Status ServeConfig::validate() const {
 }
 
 Server::Server(const graph::Csr& g, ServeConfig cfg)
-    : Server(&g, nullptr, std::move(cfg)) {}
+    : Server(&g, nullptr, nullptr, std::move(cfg)) {}
 
 Server::Server(dyn::GraphStore& store, ServeConfig cfg)
-    : Server(nullptr, &store, std::move(cfg)) {}
+    : Server(nullptr, &store, nullptr, std::move(cfg)) {}
 
-Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
+Server::Server(shard::ShardedStore& store, ServeConfig cfg)
+    : Server(&store.graph(), nullptr, &store, std::move(cfg)) {}
+
+Server::Server(const graph::Csr* g, dyn::GraphStore* store,
+               shard::ShardedStore* sharded, ServeConfig cfg)
     : host_g_(g),
       store_(store),
+      sharded_(sharded),
       cfg_((checked(cfg), std::move(cfg))),
       queue_(cfg_.queue_capacity, cfg_.qos_weights),
-      cache_(cfg_.cache_capacity, cfg_.cache_shards),
-      health_(cfg_.num_gcds,
+      cache_(cfg_.cache_capacity),
+      lanes_(sharded ? sharded->replicas() : cfg_.num_gcds),
+      health_(sharded ? sharded->num_slots() : cfg_.num_gcds,
               BreakerConfig{cfg_.breaker_failure_threshold,
                             cfg_.breaker_cooldown_ms}),
       epoch_(std::chrono::steady_clock::now()) {
@@ -234,15 +242,39 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
     n_vertices_ = host_g_->num_vertices();
     graph_fp_.store(host_g_->fingerprint(), std::memory_order_release);
   }
+  if (sharded_) {
+    // A static server without GCDs: the store's replicas are the devices,
+    // and its graph backs validation and the serial host rung.
+    for (const core::AlgoKind k : cfg_.algos) {
+      if (k != core::AlgoKind::Bfs) {
+        throw std::invalid_argument(
+            std::string("ServeConfig: sharded serving supports bfs only, "
+                        "got ") +
+            core::algo_kind_name(k));
+      }
+    }
+    if (cfg_.num_gcds != 1) {
+      throw std::invalid_argument(
+          "ServeConfig: num_gcds must stay 1 on a sharded server (the "
+          "ShardedStore owns the devices)");
+    }
+    graph_fp_.store(graph::mix_fingerprint(host_g_->fingerprint(),
+                                           sharded_->fingerprint_salt()),
+                    std::memory_order_release);
+    sweep_ = std::make_unique<shard::ShardSweep>(
+        *sharded_, shard::ShardSweepConfig{.alpha = cfg_.xbfs.alpha});
+  }
 
   core::EngineRegistry& reg = core::EngineRegistry::global();
-  gcds_.reserve(cfg_.num_gcds);
-  for (unsigned i = 0; i < cfg_.num_gcds; ++i) {
+  const unsigned num_gcds = sharded_ ? 0 : cfg_.num_gcds;
+  gcds_.reserve(num_gcds);
+  for (unsigned i = 0; i < num_gcds; ++i) {
     auto gcd = std::make_unique<Gcd>();
+    // Profiling off: a long-running server would grow the per-launch row
+    // list without bound.
     gcd->dev = std::make_unique<sim::Device>(
-        cfg_.profile,
-        sim::SimOptions{.num_workers = cfg_.device_workers,
-                        .profiling = cfg_.device_profiling});
+        cfg_.profile, sim::SimOptions{.num_workers = cfg_.device_workers,
+                                      .profiling = false});
     gcd->dev->set_trace_label("GCD " + std::to_string(i));
     gcd->dev->warmup();
     if (store_) {
@@ -306,25 +338,39 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
   }
   for (const core::AlgoKind k : cfg_.algos) {
     const auto i = static_cast<std::size_t>(k);
-    if (gcds_[0]->ladders[i].empty() && host_engines_[i] == nullptr) {
+    if ((gcds_.empty() || gcds_[0]->ladders[i].empty()) &&
+        host_engines_[i] == nullptr) {
       throw std::invalid_argument(
           std::string("ServeConfig: no engine registered for kind ") +
           core::algo_kind_name(k));
     }
   }
 
-  // One pool lane per GCD (the scheduler thread participates as lane 0),
-  // reusing the simulator's chunked-cursor worker pool.
-  pool_ = std::make_unique<sim::ThreadPool>(cfg_.num_gcds);
+  // One pool worker per dispatch lane (the scheduler thread participates
+  // as lane 0), reusing the simulator's chunked-cursor worker pool.
+  pool_ = std::make_unique<sim::ThreadPool>(lanes_);
 
   obs::SloEngine& slo_eng = obs::SloEngine::global();
   if (slo_eng.enabled()) {
-    slo_ = &slo_eng.scope(cfg_.slo_scope, cfg_.num_gcds);
+    // One SLO lane per health slot: per GCD, or per shard-replica.
+    const unsigned slo_lanes = health_.num_slots();
+    slo_ = &slo_eng.scope(cfg_.slo_scope, slo_lanes);
     // Per-kind scopes so objectives can differ per algorithm (a whole-graph
     // CC is allowed a slower p99 than a point BFS lookup).
     for (const core::AlgoKind k : cfg_.algos) {
       slo_by_algo_[static_cast<std::size_t>(k)] = &slo_eng.scope(
-          cfg_.slo_scope + ":" + core::algo_kind_name(k), cfg_.num_gcds);
+          cfg_.slo_scope + ":" + core::algo_kind_name(k), slo_lanes);
+    }
+    if (sharded_) {
+      for (unsigned sh = 0; sh < sharded_->shards(); ++sh) {
+        for (unsigned r = 0; r < sharded_->replicas(); ++r) {
+          std::string label = "s";
+          label += std::to_string(sh);
+          label += 'r';
+          label += std::to_string(r);
+          slo_->label_lane(sharded_->slot(sh, r), label);
+        }
+      }
     }
   }
   flight_ctx_ = obs::FlightRecorder::global().register_context(
@@ -404,6 +450,7 @@ Admission Server::submit(core::AlgoQuery q, QueryOptions opt) {
       r.levels = hit.levels;
       r.payload = std::move(hit);
       r.cache_hit = true;
+      r.shards = sharded_ ? sharded_->shards() : 0;
       r.total_ms = (wall_us() - now) / 1000.0;
       if (cfg_.query_tracing) {
         r.trace = std::make_shared<obs::QueryTrace>(a.id, q.source);
@@ -565,8 +612,7 @@ bool Server::result_still_valid(std::uint64_t fingerprint) const {
 
 void Server::scheduler_loop() {
   std::vector<PendingQuery> pending;
-  const std::size_t target =
-      static_cast<std::size_t>(cfg_.max_batch) * gcds_.size();
+  const std::size_t target = static_cast<std::size_t>(cfg_.max_batch) * lanes_;
   for (;;) {
     pending.clear();
     const std::size_t got =
@@ -581,8 +627,7 @@ void Server::scheduler_loop() {
 
 std::size_t Server::dispatch_once() {
   std::vector<PendingQuery> pending;
-  const std::size_t target =
-      static_cast<std::size_t>(cfg_.max_batch) * gcds_.size();
+  const std::size_t target = static_cast<std::size_t>(cfg_.max_batch) * lanes_;
   if (queue_.try_pop_batch(pending, target) == 0) return 0;
   return process_cycle(pending);
 }
@@ -642,8 +687,8 @@ std::size_t Server::process_cycle(std::vector<PendingQuery>& pending) {
     }
 
     std::vector<std::vector<graph::vid_t>> batches;
-    if (cfg_.batching && !dynamic()) {
-      if (cfg_.group_by_neighborhood && uniq.size() > 1) {
+    if (!dynamic() && sharded_ == nullptr) {
+      if (uniq.size() > 1) {
         uniq = algos::group_sources(*host_g_, std::move(uniq), cfg_.max_batch);
       }
       for (std::size_t b = 0; b < uniq.size(); b += cfg_.max_batch) {
@@ -657,9 +702,9 @@ std::size_t Server::process_cycle(std::vector<PendingQuery>& pending) {
         }
       }
     } else {
-      // Naive serving mode, and every dynamic cycle: one traversal per
-      // distinct source (the bit-parallel sweep and neighborhood grouping
-      // both need the static CSR).
+      // Dynamic and sharded cycles: one traversal per distinct source (the
+      // bit-parallel sweep and neighborhood grouping both need the static
+      // CSR on one device).
       for (const graph::vid_t s : uniq) batches.push_back({s});
     }
 
@@ -684,21 +729,17 @@ std::size_t Server::process_cycle(std::vector<PendingQuery>& pending) {
 }
 
 bool Server::validation_active() const {
-  switch (cfg_.validate_results) {
-    case ValidateResults::Always: return true;
-    case ValidateResults::Never: return false;
-    case ValidateResults::Auto: return sim::FaultInjector::global().enabled();
-  }
-  return false;
+  // The corruption detector runs exactly when something can corrupt.
+  return sim::FaultInjector::global().enabled();
 }
 
 void Server::backoff(unsigned attempt) {
   if (cfg_.retry_backoff_ms <= 0.0) return;
   double ms = cfg_.retry_backoff_ms;
-  for (unsigned i = 1; i < attempt && ms < cfg_.retry_backoff_max_ms; ++i) {
+  for (unsigned i = 1; i < attempt && ms < kRetryBackoffMaxMs; ++i) {
     ms *= 2.0;
   }
-  ms = std::min(ms, cfg_.retry_backoff_max_ms);
+  ms = std::min(ms, kRetryBackoffMaxMs);
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
@@ -809,7 +850,18 @@ Server::Resolution Server::resolve_query(unsigned preferred,
   const bool validate = validation_active() && payload_validatable(q.algo);
   xbfs::Status last = xbfs::Status::Unavailable("no device attempt made");
   unsigned budget = cfg_.max_attempts;
-  const std::size_t rungs = gcds_[0]->ladders[kidx].size();
+  // The sharded backing's one device rung is the distributed sweep.
+  const std::size_t rungs = sharded_ ? 1 : gcds_[0]->ladders[kidx].size();
+  if (sharded_) {
+    if (resolve_sharded(q, dispatch_us, primary, validate, out, last)) {
+      return out;
+    }
+    budget = 0;  // no ladder to walk: straight to the host rung
+    // No replica produced this outcome: the host rung's result or the
+    // failure belongs to the scope aggregate lane, not to the dispatch
+    // lane's slot (lane w is slot s0r<w>, unrelated to the source shard).
+    out.gcd = health_.num_slots();
+  }
 
   // SLO-aware proactive degrade: when the error budget is exhausted (or
   // the window burn runs past burn_fast), start on the cheaper rung
@@ -1037,8 +1089,223 @@ Server::Resolution Server::resolve_query(unsigned preferred,
   if (log) log->event(wall_us(), "exhausted", last.to_string());
   obs::FlightRecorder::global().record("serve", "budget_exhausted",
                                        xbfs::status_code_name(last.code()),
-                                       primary, preferred);
+                                       primary, out.gcd);
   return out;
+}
+
+unsigned Server::build_plan(QueryId id, unsigned attempt,
+                            const std::vector<char>& excluded,
+                            std::vector<int>& plan, obs::QueryTrace* log) {
+  const unsigned S = sharded_->shards();
+  const unsigned R = sharded_->replicas();
+  plan.assign(S, shard::ShardSweep::kLost);
+  unsigned lost = 0;
+  std::vector<unsigned> group;
+  for (unsigned s = 0; s < S; ++s) {
+    group.clear();
+    for (unsigned r = 0; r < R; ++r) {
+      const unsigned sl = sharded_->slot(s, r);
+      if (sharded_->alive(s, r) && !excluded[sl]) group.push_back(sl);
+    }
+    if (group.empty()) {
+      // Exclusion is a soft preference: when this query has already seen a
+      // fault on every live replica of the shard, retrying one (faults are
+      // transient) beats degrading the whole shard to lost.
+      for (unsigned r = 0; r < R; ++r) {
+        if (sharded_->alive(s, r)) group.push_back(sharded_->slot(s, r));
+      }
+    }
+    // Spread load across the replica row by query id; retries rotate the
+    // preference so a re-plan naturally lands elsewhere first.
+    const unsigned pref =
+        sharded_->slot(s, static_cast<unsigned>((id + attempt) % R));
+    const unsigned got = health_.pick_in(group, pref, wall_us());
+    if (got == HealthTracker::kNone) {
+      ++lost;
+      if (log) log->event(wall_us(), "shard_lost", "shard=" + std::to_string(s));
+      continue;
+    }
+    if (got != pref) {
+      rerouted_.fetch_add(1, std::memory_order_relaxed);
+      if (log) {
+        log->event(wall_us(), "rerouted",
+                   "shard=" + std::to_string(s) + " slot=" +
+                       std::to_string(got));
+      }
+    }
+    plan[s] = static_cast<int>(got - sharded_->slot(s, 0));
+  }
+  return lost;
+}
+
+bool Server::resolve_sharded(const core::AlgoQuery& q, double dispatch_us,
+                             QueryId primary, bool validate, Resolution& out,
+                             xbfs::Status& last) {
+  const unsigned S = sharded_->shards();
+  const unsigned owner = sharded_->layout().owner(q.source);
+  obs::QueryTrace* log = out.log.get();
+  std::vector<char> excluded(sharded_->num_slots(), 0);
+  std::vector<int> plan;
+  auto slot_of = [&](unsigned s) {
+    return sharded_->slot(s, static_cast<unsigned>(plan[s]));
+  };
+  // A failed or abandoned attempt hands back the allow() grant of every
+  // planned slot it does not charge: a HalfOpen breaker's probe token would
+  // otherwise stay outstanding and that replica would never serve again.
+  auto release_plan = [&](unsigned charged) {
+    for (unsigned s = 0; s < S; ++s) {
+      if (plan[s] != shard::ShardSweep::kLost && slot_of(s) != charged) {
+        health_.release(slot_of(s));
+      }
+    }
+  };
+
+  for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
+    const unsigned lost = build_plan(primary, attempt, excluded, plan, log);
+    if (plan[owner] == shard::ShardSweep::kLost) {
+      release_plan(HealthTracker::kNone);
+      last = xbfs::Status::Unavailable("source shard " +
+                                       std::to_string(owner) +
+                                       " has no healthy replica");
+      unavailable_failures_.fetch_add(1, std::memory_order_relaxed);
+      if (log) log->event(wall_us(), "unavailable", last.detail());
+      return false;
+    }
+    const unsigned home = slot_of(owner);
+    if (out.attempts > 0) retries_.fetch_add(1, std::memory_order_relaxed);
+    ++out.attempts;
+
+    // Chosen replicas locked in ascending slot order (plans are iterated
+    // by shard, and slots grow with shard) — overlapping plans from
+    // concurrent lanes serialize instead of deadlocking.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(S);
+    for (unsigned s = 0; s < S; ++s) {
+      if (plan[s] == shard::ShardSweep::kLost) continue;
+      locks.emplace_back(
+          sharded_->replica(s, static_cast<unsigned>(plan[s])).mu);
+    }
+    if (log) {
+      log->event(wall_us(), "attempt",
+                 "engine=shard-sweep live=" + std::to_string(S - lost) +
+                     " lost=" + std::to_string(lost) +
+                     " attempt=" + std::to_string(out.attempts));
+    }
+    try {
+      shard::ShardSweepResult sw = sweep_->run(q.source, plan);
+      unsigned corrupt_slot = HealthTracker::kNone;
+      for (unsigned s = 0; s < S; ++s) {
+        if (plan[s] == shard::ShardSweep::kLost) continue;
+        if (sharded_->replica(s, static_cast<unsigned>(plan[s]))
+                .device->take_pending_corruption()) {
+          corrupt_slot = slot_of(s);
+        }
+      }
+      locks.clear();
+      if (corrupt_slot != HealthTracker::kNone) {
+        // The modelled copy moved no real bytes; realize the corruption so
+        // validation can see it.
+        sim::FaultInjector::global().corrupt_levels(sw.levels);
+      }
+      // Partial results are never validated: edges into a lost range
+      // legitimately break the level rules.
+      const bool checked = validate && !sw.partial;
+      if (checked) {
+        const std::string verr =
+            graph::validate_levels_graph500(*host_g_, q.source, sw.levels);
+        if (!verr.empty()) {
+          const unsigned charged =
+              corrupt_slot != HealthTracker::kNone ? corrupt_slot : home;
+          last = note_attempt_failure(charged, xbfs::Status::Corruption(verr),
+                                      primary);
+          release_plan(charged);
+          excluded[charged] = 1;
+          if (log) log->event(wall_us(), "validation_failed", verr);
+          obs::FlightRecorder::global().trigger("validation_failure");
+          backoff(out.attempts);
+          continue;
+        }
+        validated_results_.fetch_add(1, std::memory_order_relaxed);
+        if (log) log->event(wall_us(), "validated");
+      }
+      // A straggler keeps its result but its home slot eats a breaker
+      // failure instead of a success.
+      const bool straggler = note_dispatch_time(home, dispatch_us);
+      for (unsigned s = 0; s < S; ++s) {
+        if (plan[s] == shard::ShardSweep::kLost) continue;
+        if (straggler && slot_of(s) == home) continue;
+        health_.record_success(slot_of(s));
+      }
+
+      levels_swept_.fetch_add(sw.level_stats.size(),
+                              std::memory_order_relaxed);
+      std::uint64_t two = 0;
+      for (const shard::ShardLevelStats& st : sw.level_stats) {
+        two += st.two_phase;
+      }
+      two_phase_levels_.fetch_add(two, std::memory_order_relaxed);
+      exchange_raw_bytes_.fetch_add(sw.raw_bytes, std::memory_order_relaxed);
+      exchange_wire_bytes_.fetch_add(sw.wire_bytes,
+                                     std::memory_order_relaxed);
+      lost_shard_events_.fetch_add(sw.shards_lost, std::memory_order_relaxed);
+      obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
+      if (mx.enabled()) {
+        mx.histogram("shard.sweep_modelled_ms").observe(sw.total_ms);
+        mx.histogram("shard.sweep_comm_ms").observe(sw.comm_ms);
+      }
+
+      out.res.kind = core::AlgoKind::Bfs;
+      out.res.levels = std::make_shared<const std::vector<std::int32_t>>(
+          std::move(sw.levels));
+      out.res.depth = sw.depth;
+      out.modelled_ms = sw.total_ms;
+      out.engine = "shard-sweep";
+      out.gcd = home;
+      out.fp = graph_fp_.load(std::memory_order_acquire);
+      out.partial = sw.partial;
+      out.shards_lost = sw.shards_lost;
+      out.degraded = sw.partial || out.attempts > 1;
+      out.validated = checked;
+      out.status = xbfs::Status::Ok();
+      if (sw.partial) {
+        out.status = xbfs::Status::Unavailable(
+            std::to_string(sw.shards_lost) +
+            " shard(s) had no healthy replica; their vertex ranges report "
+            "-1");
+        partial_queries_.fetch_add(1, std::memory_order_relaxed);
+        if (mx.enabled()) mx.counter("serve.partial").add();
+        if (log) {
+          log->event(wall_us(), "partial",
+                     "lost=" + std::to_string(sw.shards_lost));
+        }
+      }
+      if (log) {
+        log->event(wall_us(), "resolved",
+                   "engine=shard-sweep slot=" + std::to_string(home) +
+                       " depth=" + std::to_string(sw.depth));
+      }
+      return true;
+    } catch (const shard::ShardSweepFault& f) {
+      locks.clear();
+      const unsigned sl = sharded_->slot(f.shard(), f.replica());
+      last = note_attempt_failure(sl, xbfs::Status::Fault(f.what()), primary);
+      release_plan(sl);
+      excluded[sl] = 1;
+      if (log) {
+        log->event(wall_us(), "fault",
+                   "slot=s" + std::to_string(f.shard()) + "r" +
+                       std::to_string(f.replica()) + " " + f.what());
+      }
+      backoff(out.attempts);
+    } catch (const std::exception& e) {
+      locks.clear();
+      release_plan(HealthTracker::kNone);
+      last = xbfs::Status::Internal(e.what());
+      if (log) log->event(wall_us(), "error", e.what());
+      backoff(out.attempts);
+    }
+  }
+  return false;
 }
 
 void Server::deliver_unit(const DispatchKey& key, const Resolution& res,
@@ -1048,15 +1315,16 @@ void Server::deliver_unit(const DispatchKey& key, const Resolution& res,
   auto waiters = by_key.find(key);
   if (waiters == by_key.end()) return;
   const double complete_us = wall_us();
-  const auto kidx = static_cast<std::size_t>(key.algo);
 
   bool published = false;
   if (res.res) {
     computed_sources_.fetch_add(1, std::memory_order_relaxed);
     // Publish before resolving waiters so a submit racing with completion
     // can already hit.  When validation is active only validated results
-    // are cacheable — a corrupted entry must never outlive its query.
-    bool publish = !validation_active() || res.validated;
+    // are cacheable — a corrupted entry must never outlive its query — and
+    // a partial result must not outlive the shard loss that caused it.
+    const bool publish =
+        (!validation_active() || res.validated) && !res.partial;
     bool wanted = false;
     for (const PendingQuery& p : waiters->second) wanted |= !p.bypass_cache;
     // Keyed under the fingerprint of the graph that actually produced the
@@ -1090,6 +1358,9 @@ void Server::deliver_unit(const DispatchKey& key, const Resolution& res,
     r.attempts = res.attempts;
     r.degraded = res.degraded;
     r.validated = res.validated;
+    r.error = res.status;  // failure, or the Unavailable detail of a partial
+    r.shards_lost = res.shards_lost;
+    r.partial = res.partial;
     r.queue_ms = (dispatch_us - p.enqueue_us) / 1000.0;
     r.service_ms = (complete_us - dispatch_us) / 1000.0;
     r.total_ms = (complete_us - p.enqueue_us) / 1000.0;
@@ -1105,11 +1376,9 @@ void Server::deliver_unit(const DispatchKey& key, const Resolution& res,
       record_latency(r);
     } else {
       r.status = QueryStatus::Failed;
-      r.error = res.status;
       failed_.fetch_add(1, std::memory_order_relaxed);
       obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
       if (mx.enabled()) mx.counter("serve.failed").add();
-      (void)kidx;
     }
     finish_query(std::move(p), std::move(r));
   }
@@ -1286,6 +1555,7 @@ void Server::run_batch(unsigned worker,
     sources_per_sweep_sum_ += static_cast<double>(batch.size());
     modelled_busy_ms_ += modelled_ms;
   }
+  if (modelled_ms > 0.0) modelled_ms_.observe(modelled_ms);
   obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
   if (mx.enabled()) {
     mx.histogram("serve.batch_occupancy")
@@ -1309,6 +1579,7 @@ void Server::run_algo(unsigned worker, const DispatchKey& key,
     std::lock_guard<sim::RankedMutex> lk(agg_mu_);
     modelled_busy_ms_ += res.modelled_ms;
   }
+  if (res.modelled_ms > 0.0) modelled_ms_.observe(res.modelled_ms);
   obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
   if (mx.enabled()) mx.counter("serve.algo_dispatches").add();
   deliver_unit(key, res, by_key, dispatch_us, /*batch_size=*/1, nullptr);
@@ -1354,6 +1625,7 @@ void Server::complete_from_cache(PendingQuery&& p, CachedResult hit,
 
 void Server::finish_query(PendingQuery&& p, QueryResult&& r) {
   if (p.trace != nullptr) r.trace = p.trace;
+  r.shards = sharded_ ? sharded_->shards() : 0;
   note_terminal(r);
   {
     std::lock_guard<sim::RankedMutex> lk(inflight_mu_);
@@ -1368,7 +1640,7 @@ void Server::note_terminal(QueryResult& r) {
   // Cache hits and expiries never touched a device lane: r.batch_size is
   // 0 exactly when no traversal ran, and an out-of-range lane attributes
   // to the scope aggregate only.
-  const unsigned lane = r.batch_size > 0 ? r.gcd : cfg_.num_gcds;
+  const unsigned lane = r.batch_size > 0 ? r.gcd : health_.num_slots();
   if (slo_ != nullptr) {
     slo_->record(lane, ok, r.total_ms, obs::slo_now_ms());
   }
@@ -1381,6 +1653,9 @@ void Server::note_terminal(QueryResult& r) {
     std::string detail = "total_ms=" + fmt_double(r.total_ms);
     if (!r.engine.empty()) detail += " engine=" + r.engine;
     if (r.cache_hit) detail += " cache_hit=1";
+    if (r.shards_lost > 0) {
+      detail += " shards_lost=" + std::to_string(r.shards_lost);
+    }
     if (!ok && !r.error.ok()) detail += " error=" + r.error.to_string();
     r.trace->event(wall_us(), status, std::move(detail));
     obs::TraceSession& tr = obs::TraceSession::global();
@@ -1411,7 +1686,7 @@ std::string Server::flight_context_json() const {
   w.kv("retired", retired_.load(std::memory_order_relaxed));
   w.kv("graph_fp", graph_fp_.load(std::memory_order_acquire));
   w.key("breakers").begin_array();
-  for (unsigned i = 0; i < cfg_.num_gcds; ++i) {
+  for (unsigned i = 0; i < health_.num_slots(); ++i) {
     w.value(breaker_state_name(health_.state(i)));
   }
   w.end_array();
@@ -1584,6 +1859,25 @@ ServerStats Server::stats() const {
     s.modelled_busy_ms = modelled_busy_ms_;
   }
 
+  if (sharded_) {
+    s.shards = sharded_->shards();
+    s.replicas = sharded_->replicas();
+  }
+  s.partial_queries = partial_queries_.load(std::memory_order_relaxed);
+  s.lost_shard_events = lost_shard_events_.load(std::memory_order_relaxed);
+  s.unavailable_failures =
+      unavailable_failures_.load(std::memory_order_relaxed);
+  s.levels_swept = levels_swept_.load(std::memory_order_relaxed);
+  s.two_phase_levels = two_phase_levels_.load(std::memory_order_relaxed);
+  s.exchange_raw_bytes = exchange_raw_bytes_.load(std::memory_order_relaxed);
+  s.exchange_wire_bytes =
+      exchange_wire_bytes_.load(std::memory_order_relaxed);
+  s.compression_ratio =
+      s.exchange_wire_bytes == 0
+          ? 0.0
+          : static_cast<double>(s.exchange_raw_bytes) /
+                static_cast<double>(s.exchange_wire_bytes);
+
   s.traced_queries = traced_.load(std::memory_order_relaxed);
   s.slo_proactive_degrades =
       slo_proactive_degrades_.load(std::memory_order_relaxed);
@@ -1616,6 +1910,8 @@ ServerStats Server::stats() const {
   s.latency_max_ms = latency_ms_.max();
   s.queue_p50_ms = queue_ms_.percentile(0.50);
   s.queue_p99_ms = queue_ms_.percentile(0.99);
+  s.modelled_p50_ms = modelled_ms_.percentile(0.50);
+  s.modelled_p99_ms = modelled_ms_.percentile(0.99);
   return s;
 }
 
@@ -1639,6 +1935,9 @@ void Server::emit_summary() {
     mx.gauge("serve.batch_occupancy").set(st.mean_batch_occupancy);
     mx.gauge("serve.breaker_opens").set(static_cast<double>(st.breaker_opens));
     mx.gauge("serve.retries").set(static_cast<double>(st.retries));
+    if (sharded_) {
+      mx.gauge("serve.compression_ratio").set(st.compression_ratio);
+    }
   }
 
   obs::ReportSession& rs = obs::ReportSession::global();
@@ -1666,7 +1965,6 @@ void Server::emit_summary() {
       {"max_batch", std::to_string(cfg_.max_batch)},
       {"queue_capacity", std::to_string(cfg_.queue_capacity)},
       {"cache_capacity", std::to_string(cfg_.cache_capacity)},
-      {"batching", cfg_.batching ? "1" : "0"},
       {"algos", algo_list},
       {"submitted", std::to_string(st.submitted)},
       {"accepted", std::to_string(st.accepted)},
@@ -1693,6 +1991,8 @@ void Server::emit_summary() {
       {"queue_p50_ms", fmt_double(st.queue_p50_ms)},
       {"queue_p99_ms", fmt_double(st.queue_p99_ms)},
       {"modelled_busy_ms", fmt_double(st.modelled_busy_ms)},
+      {"modelled_p50_ms", fmt_double(st.modelled_p50_ms)},
+      {"modelled_p99_ms", fmt_double(st.modelled_p99_ms)},
       {"wall_elapsed_ms", fmt_double(st.wall_elapsed_ms)},
       {"failed", std::to_string(st.failed)},
       {"faults_seen", std::to_string(st.faults_seen)},
@@ -1755,6 +2055,29 @@ void Server::emit_summary() {
       {"flight_dumps",
        std::to_string(obs::FlightRecorder::global().dumps())},
   };
+  if (sharded_) {
+    const shard::ShardMemoryReport mem = sharded_->memory_report();
+    const std::pair<const char*, std::string> sharded_cols[] = {
+        {"shards", std::to_string(st.shards)},
+        {"replicas", std::to_string(st.replicas)},
+        {"grid_rows", std::to_string(sharded_->layout().grid_rows())},
+        {"grid_cols", std::to_string(sharded_->layout().grid_cols())},
+        {"budget_bytes", std::to_string(mem.budget_bytes)},
+        {"single_device_bytes", std::to_string(mem.single_device_bytes)},
+        {"max_shard_bytes", std::to_string(mem.max_shard_bytes)},
+        {"oversubscription", fmt_double(mem.oversubscription)},
+        {"serving_fingerprint", std::to_string(graph_fingerprint())},
+        {"partial_queries", std::to_string(st.partial_queries)},
+        {"lost_shard_events", std::to_string(st.lost_shard_events)},
+        {"unavailable_failures", std::to_string(st.unavailable_failures)},
+        {"levels_swept", std::to_string(st.levels_swept)},
+        {"two_phase_levels", std::to_string(st.two_phase_levels)},
+        {"exchange_raw_bytes", std::to_string(st.exchange_raw_bytes)},
+        {"exchange_wire_bytes", std::to_string(st.exchange_wire_bytes)},
+        {"compression_ratio", fmt_double(st.compression_ratio)},
+    };
+    for (const auto& [k, v] : sharded_cols) r.config.emplace_back(k, v);
+  }
   // Per-kind serving columns, one block per served algorithm.
   for (const core::AlgoKind k : cfg_.algos) {
     const AlgoClassStats& a = st.per_algo[static_cast<std::size_t>(k)];

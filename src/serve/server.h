@@ -4,12 +4,23 @@
 //   clients --submit()--> AdmissionQueue --(scheduler thread)--> batches
 //                              |  (QoS-classed, weighted drain)      |
 //                        backpressure                    sim::ThreadPool, one
-//                       (reject w/ reason)               simulated GCD/worker
+//                       (reject w/ reason)               dispatch lane each
 //                                                                   |
 //                  ResultCache <--publish-- multi_source_bfs (<=64-way sweep),
 //                       |                   per-kind AlgorithmEngine ladders
-//                  hits resolve             (core::EngineRegistry)
-//                  at submit()
+//                  hits resolve             (core::EngineRegistry), or the
+//                  at submit()              distributed shard::ShardSweep
+//
+// One front end, three graph backings:
+//   * static   (const graph::Csr&)   — one device per GCD, every registered
+//     kind, BFS batched into 64-way sweeps;
+//   * dynamic  (dyn::GraphStore&)    — incremental BFS/CC over refcounted
+//     snapshots plus the update lane (submit_update);
+//   * sharded  (shard::ShardedStore&) — BFS across the store's shard
+//     replicas: per query, one healthy replica per shard (one circuit
+//     breaker per shard-replica slot), locked in slot order, then one
+//     distributed sweep.  A lost non-source shard degrades the result to
+//     partial instead of failing it.
 //
 // One server admits core::AlgoQuery of every kind listed in
 // ServeConfig::algos.  BFS keeps its historical fast path — dedup by
@@ -21,15 +32,16 @@
 // through its own degradation ladder built from the EngineRegistry
 // (device rungs in rung order, then the registered host oracle as the
 // fault-immune terminal rung), so the resilience machinery — retries,
-// breakers, validation, SLO-aware degrades — is shared by all kinds.
+// breakers, validation, SLO-aware degrades — is shared by all kinds and
+// all backings.
 //
 // The scheduler drains the queue weighted round-robin across QoS classes
 // (one class per algorithm kind; ServeConfig::qos_weights), expires
 // queries past their deadline (reported through their futures, never
-// dropped), and dispatches units across the GCD worker pool.  Every
-// query's end-to-end latency feeds both the aggregate and a per-kind
-// p50/p95/p99 histogram; shutdown() emits one summary record with
-// per-kind completed/p99/QPS columns into XBFS_RUN_REPORT.
+// dropped), and dispatches units across the lane pool.  Every query's
+// end-to-end latency feeds both the aggregate and a per-kind p50/p95/p99
+// histogram; shutdown() emits one summary record with per-kind
+// completed/p99/QPS columns into XBFS_RUN_REPORT.
 //
 // Served payloads are bit-identical to a fresh engine run: every
 // registered engine of a kind is conformant with its host oracle (the
@@ -69,22 +81,19 @@ class IncrementalBfs;
 class IncrementalCc;
 }  // namespace xbfs::dyn
 
-namespace xbfs::serve {
+namespace xbfs::shard {
+class ShardedStore;
+class ShardSweep;
+}  // namespace xbfs::shard
 
-/// When the serving engine re-validates computed payloads (per-kind host
-/// validators: Graph500 level rules for BFS, relaxed-edge/partition/peeling
-/// checks for SSSP/CC/k-core) before delivering/caching them.
-enum class ValidateResults {
-  Auto,    ///< validate iff fault injection is active (sim::FaultInjector)
-  Always,
-  Never,
-};
+namespace xbfs::serve {
 
 struct ServeConfig {
   /// Admission-queue capacity; submissions beyond it are rejected with
   /// StatusCode::QueueFull (backpressure).
   std::size_t queue_capacity = 4096;
   /// Simulated GCDs served concurrently (one worker thread drives each).
+  /// Must stay 1 on a sharded server: the ShardedStore owns the devices.
   unsigned num_gcds = 1;
   /// Simulator worker threads inside each GCD (1 = deterministic profile
   /// mode; serving parallelism comes from num_gcds).
@@ -99,9 +108,8 @@ struct ServeConfig {
   /// share it (measured crossover ~16 on scale-18 RMAT).  1 = always
   /// sweep.
   unsigned min_sweep_sources = 16;
-  /// Result-cache entries across all shards; 0 disables caching.
+  /// Result-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  unsigned cache_shards = 8;
   /// Deadline applied to queries that don't set their own (ms from
   /// enqueue); non-positive = none.  (A default of exactly 0 historically
   /// expired every inheriting query at dispatch; resolve_deadline_us is
@@ -110,19 +118,11 @@ struct ServeConfig {
   /// How long the scheduler waits for the backlog to fill a full cycle
   /// before dispatching what is there (0 = dispatch immediately).
   double batch_window_ms = 1.0;
-  /// false = naive mode: one core::Xbfs::run per query, no sharing (the
-  /// serving bench's baseline).  BFS only; other kinds always dispatch as
-  /// deduplicated per-unit runs.
-  bool batching = true;
-  /// Order each cycle's distinct BFS sources with algos::group_sources.
-  bool group_by_neighborhood = true;
   /// Tests: no scheduler thread; call dispatch_once() explicitly.
   bool manual_dispatch = false;
-  /// Per-launch profiler rows on the worker devices (off: a long-running
-  /// server would grow the row list without bound).
-  bool device_profiling = false;
   /// Per-worker traversal configuration.  report_runs is forced off — the
-  /// server emits one summary record instead of one record per query.
+  /// server emits one summary record instead of one record per query.  A
+  /// sharded server's sweep takes its alpha from here.
   core::XbfsConfig xbfs;
   sim::DeviceProfile profile = sim::DeviceProfile::mi250x_gcd();
 
@@ -141,21 +141,21 @@ struct ServeConfig {
   /// Device attempts per dispatch unit (sweep or per-source run) before
   /// degrading down the engine ladder / to the host.  1 = no retry.
   unsigned max_attempts = 3;
-  /// Exponential backoff between retries: base * 2^(attempt-1), capped.
+  /// Exponential backoff between retries: base * 2^(attempt-1), capped at
+  /// 5 ms.
   double retry_backoff_ms = 0.2;
-  double retry_backoff_max_ms = 5.0;
   /// Straggler budget per dispatch (wall ms): a device that exceeds it is
   /// reported to the health tracker so later work routes around it;
   /// negative = none.
   double dispatch_timeout_ms = -1.0;
-  /// Consecutive failures that open a GCD's circuit breaker, and how long
-  /// the breaker rejects work before probing (serve/health.h).
+  /// Consecutive failures that open a GCD's (sharded: a shard-replica
+  /// slot's) circuit breaker, and how long the breaker rejects work before
+  /// probing (serve/health.h).
   unsigned breaker_failure_threshold = 3;
   double breaker_cooldown_ms = 25.0;
-  /// Result validation on the serving path (corruption detector).
-  ValidateResults validate_results = ValidateResults::Auto;
   /// Terminal ladder rung: serve from the registered host engine when
-  /// every device attempt failed.  false = such queries resolve as Failed.
+  /// every device attempt failed (sharded: also when the source's shard has
+  /// no healthy replica).  false = such queries resolve as Failed.
   bool host_fallback = true;
 
   // --- durability (dynamic servers; docs/durability.md) --------------------
@@ -163,7 +163,7 @@ struct ServeConfig {
   /// / store::recover_store): the constructor throws std::invalid_argument
   /// for a dynamic server whose store has no WAL behind it, so a deployment
   /// that promises durability cannot silently serve from a volatile store.
-  /// Ignored (must stay false) for static servers.
+  /// Must stay false on static and sharded servers.
   bool require_durability = false;
 
   // --- observability --------------------------------------------------------
@@ -234,6 +234,8 @@ struct ServerStats {
   std::uint64_t host_fallbacks = 0;       ///< units served by the host rung
   std::uint64_t dispatch_timeouts = 0;    ///< straggler budget exceeded
   std::uint64_t rerouted = 0;             ///< attempts on a non-home GCD
+                                          ///< (sharded: shards planned off
+                                          ///< their preferred replica)
   std::uint64_t breaker_opens = 0;
   std::uint64_t breaker_half_opens = 0;
   std::uint64_t breaker_closes = 0;
@@ -270,6 +272,18 @@ struct ServerStats {
   std::uint64_t recovery_truncated_bytes = 0;  ///< torn-tail bytes discarded
   std::uint64_t recovery_stale_rejected = 0;   ///< result_still_valid refusals
 
+  // --- sharded backing (all zero unless built over a ShardedStore) ---------
+  unsigned shards = 0;
+  unsigned replicas = 0;                   ///< replica group size per shard
+  std::uint64_t partial_queries = 0;       ///< served with >= 1 lost shard
+  std::uint64_t lost_shard_events = 0;     ///< lost shards summed over sweeps
+  std::uint64_t unavailable_failures = 0;  ///< source shard had no replica
+  std::uint64_t levels_swept = 0;          ///< BFS levels across all sweeps
+  std::uint64_t two_phase_levels = 0;      ///< levels where 2D promotion won
+  std::uint64_t exchange_raw_bytes = 0;
+  std::uint64_t exchange_wire_bytes = 0;
+  double compression_ratio = 0.0;  ///< raw/wire (>= 1; 0 = no exchange)
+
   // --- observability --------------------------------------------------------
   std::uint64_t traced_queries = 0;         ///< terminals carrying a trace
   std::uint64_t slo_proactive_degrades = 0; ///< queries started below rung 0
@@ -279,6 +293,10 @@ struct ServerStats {
   double wall_elapsed_ms = 0.0;
   double qps = 0.0;                 ///< completed / wall_elapsed
   double modelled_busy_ms = 0.0;    ///< summed modelled device time
+  /// Modelled device (+ fabric, sharded) time per dispatch unit that ran
+  /// on a device — the simulator's scaling instrument.
+  double modelled_p50_ms = 0.0;
+  double modelled_p99_ms = 0.0;
 
   double latency_p50_ms = 0.0;      ///< enqueue -> complete
   double latency_p95_ms = 0.0;
@@ -327,6 +345,13 @@ class Server {
   /// store must outlive the server.  Batched sweeps and neighborhood
   /// grouping need the static CSR, so dynamic dispatch is always per-unit.
   explicit Server(dyn::GraphStore& store, ServeConfig cfg = {});
+  /// Sharded serving: BFS over the store's shard replicas, one distributed
+  /// sweep per distinct source (the 64-way sweep needs the whole CSR on one
+  /// device).  The store owns every device and must outlive the server;
+  /// its graph backs validation and the host rung.  Dispatch lanes =
+  /// store.replicas().  Results are cached under the CSR fingerprint mixed
+  /// with the layout hash, so a re-shard self-invalidates the cache.
+  explicit Server(shard::ShardedStore& store, ServeConfig cfg = {});
   ~Server();
 
   Server(const Server&) = delete;
@@ -387,6 +412,11 @@ class Server {
   /// counted in ServerStats::recovery_stale_rejected.
   bool result_still_valid(std::uint64_t fingerprint) const;
   const ResultCache& cache() const { return cache_; }
+  /// Circuit-breaker state of one health slot: a GCD, or on a sharded
+  /// server the ShardedStore::slot(shard, replica) id.
+  BreakerState breaker_state(unsigned slot) const {
+    return health_.state(slot);
+  }
 
  private:
   struct Gcd {
@@ -445,6 +475,10 @@ class Server {
     unsigned gcd = 0;
     bool degraded = false;
     bool validated = false;
+    /// Sharded only: the sweep ran without some shards (status then
+    /// carries the Unavailable detail while res is set).
+    bool partial = false;
+    unsigned shards_lost = 0;
     double modelled_ms = 0.0;   ///< modelled device time consumed (0 = host)
     /// Per-resolution scratch trace: attempt events + rung attribution,
     /// absorbed into every waiter's QueryTrace at delivery.  Null when
@@ -457,11 +491,15 @@ class Server {
     std::uint64_t fp = 0;
   };
 
-  /// Common constructor body behind the two public constructors; exactly
-  /// one of g / store is non-null.
-  Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg);
+  /// Common constructor body behind the three public constructors: g alone
+  /// (static), store alone (dynamic), or sharded with g = its graph.
+  Server(const graph::Csr* g, dyn::GraphStore* store,
+         shard::ShardedStore* sharded, ServeConfig cfg);
 
   double wall_us() const;
+  /// Whether computed payloads are re-checked by their kind's host
+  /// validator before delivery/caching: exactly while fault injection is
+  /// active.
   bool validation_active() const;
   void scheduler_loop();
   std::size_t process_cycle(std::vector<PendingQuery>& pending);
@@ -487,6 +525,20 @@ class Server {
   Resolution resolve_query(unsigned preferred, const core::AlgoQuery& q,
                            unsigned attempts_so_far, double dispatch_us,
                            QueryId primary);
+  /// The sharded backing's device attempts (the ladder's stand-in): plan a
+  /// replica per shard, lock, sweep, check, annotate partial results.
+  /// Returns true with `out` resolved; false leaves `last` as the failure
+  /// and the caller falls through to the host rung.
+  bool resolve_sharded(const core::AlgoQuery& q, double dispatch_us,
+                       QueryId primary, bool validate, Resolution& out,
+                       xbfs::Status& last);
+  /// One replica index per shard (ShardSweep::kLost = none healthy);
+  /// `excluded` marks slots this query already saw fail.  Every planned
+  /// slot holds an allow() grant the caller must resolve.  Returns the
+  /// number of lost shards.
+  unsigned build_plan(QueryId id, unsigned attempt,
+                      const std::vector<char>& excluded,
+                      std::vector<int>& plan, obs::QueryTrace* log);
   /// Per-kind host validation of a computed payload: empty string = valid
   /// (or no validator exists for the kind — see payload_validatable).
   std::string validate_payload(const core::AlgoQuery& q,
@@ -512,9 +564,14 @@ class Server {
   std::string flight_context_json() const;
   void emit_summary();
 
-  /// Exactly one of host_g_ / store_ is set (static vs dynamic serving).
+  /// Static and sharded servers set host_g_ (sharded: the store's graph);
+  /// dynamic servers set store_ instead.
   const graph::Csr* host_g_ = nullptr;
   dyn::GraphStore* store_ = nullptr;
+  shard::ShardedStore* sharded_ = nullptr;
+  /// Shared by every lane: stateless between runs, every mutable buffer a
+  /// run touches lives in the replicas its plan locked.  Sharded only.
+  std::unique_ptr<shard::ShardSweep> sweep_;
   graph::vid_t n_vertices_ = 0;
   ServeConfig cfg_;
   /// enabled_[k] <=> AlgoKind k is in cfg_.algos.
@@ -525,8 +582,12 @@ class Server {
 
   AdmissionQueue queue_;
   ResultCache cache_;
-  std::vector<std::unique_ptr<Gcd>> gcds_;
-  std::unique_ptr<sim::ThreadPool> pool_;  ///< one lane per GCD
+  std::vector<std::unique_ptr<Gcd>> gcds_;  ///< empty on a sharded server
+  /// Dispatch lanes: num_gcds, or store.replicas() when sharded.
+  unsigned lanes_ = 1;
+  std::unique_ptr<sim::ThreadPool> pool_;  ///< one worker per lane
+  /// One breaker per GCD, or per shard-replica slot when sharded; its slot
+  /// count is also the SLO lane count.
   HealthTracker health_;
   /// Terminal rungs, one per kind: host engines from the registry (static)
   /// or dyn::HostDeltaBfs (dynamic BFS), immune to simulated-device
@@ -573,6 +634,13 @@ class Server {
   /// result_still_valid() refusals; mutable because validity checks are
   /// logically const reads of the serving fingerprint.
   mutable std::atomic<std::uint64_t> recovery_stale_rejected_{0};
+  std::atomic<std::uint64_t> partial_queries_{0};
+  std::atomic<std::uint64_t> lost_shard_events_{0};
+  std::atomic<std::uint64_t> unavailable_failures_{0};
+  std::atomic<std::uint64_t> levels_swept_{0};
+  std::atomic<std::uint64_t> two_phase_levels_{0};
+  std::atomic<std::uint64_t> exchange_raw_bytes_{0};
+  std::atomic<std::uint64_t> exchange_wire_bytes_{0};
   std::atomic<std::uint64_t> traced_{0};
   std::atomic<std::uint64_t> slo_proactive_degrades_{0};
   // Per-kind counters, indexed by AlgoKind.
@@ -612,6 +680,7 @@ class Server {
 
   obs::Histogram latency_ms_;  ///< enqueue -> complete
   obs::Histogram queue_ms_;    ///< enqueue -> dispatch
+  obs::Histogram modelled_ms_;  ///< per device-run dispatch unit
   /// Per-kind enqueue -> complete latency (indexed by AlgoKind).
   std::array<obs::Histogram, core::kNumAlgoKinds> latency_by_algo_;
 

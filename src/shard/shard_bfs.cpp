@@ -415,7 +415,7 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
   const bool tracing = tr.enabled();
   if (tracing) tr.set_process_label(0, "dist-coordinator");
   // One registry lookup per run, not per level: histogram() takes the
-  // registry mutex, and router sweeps run concurrently.
+  // registry mutex, and serving lanes sweep concurrently.
   obs::Histogram* local_hist = nullptr;
   obs::Histogram* comm_hist = nullptr;
   if (obs::MetricsRegistry& mr = obs::MetricsRegistry::global();

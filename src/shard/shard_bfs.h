@@ -1,5 +1,5 @@
 // The distributed direction-optimizing sweep over a ShardedStore — the one
-// multi-GCD BFS in the repository (benches, examples and the router all run
+// multi-GCD BFS in the repository (benches, examples and sharded serving run
 // it).  Graph500-style 1D row partitioning: every shard holds the full
 // adjacency of its owned vertex range plus a *global* frontier bitmap.
 // Per level:
@@ -16,7 +16,7 @@
 //     shard; kLost marks a shard with no healthy replica, whose vertex
 //     range simply never participates.  The result is then exactly BFS on
 //     the subgraph with the lost shards' vertices removed (partial=true,
-//     lost ranges stay -1), which is what lets the router degrade instead
+//     lost ranges stay -1), which is what lets serving degrade instead
 //     of fail.  A plain multi-GCD run is `run(src, std::vector<int>(g, 0))`
 //     over a single-replica store.
 //   * compressed frontier exchange — candidate and cleaned slices travel
@@ -36,7 +36,7 @@
 // `dist_comm_ms` histograms and a `"dist_bfs"` run-report record.
 //
 // A kernel fault on any replica surfaces as ShardSweepFault naming the
-// (shard, replica) slot so the router can penalize exactly that breaker
+// (shard, replica) slot so the server can penalize exactly that breaker
 // and reroute.
 #pragma once
 
@@ -83,7 +83,7 @@ struct ShardSweepResult {
 };
 
 /// An injected device fault inside the sweep, tagged with the slot that
-/// faulted so the router can penalize and reroute precisely.
+/// faulted so the server can penalize and reroute precisely.
 class ShardSweepFault : public std::runtime_error {
  public:
   ShardSweepFault(unsigned shard, unsigned replica, const std::string& what)

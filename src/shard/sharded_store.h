@@ -1,6 +1,6 @@
 // ShardedStore: one CSR resident across a group of simulated GCDs, with a
-// replica group per shard — the storage tier behind the scatter-gather
-// router (shard/router.h).
+// replica group per shard — the storage tier behind sharded serving
+// (serve::Server's ShardedStore backing).
 //
 // Each (shard, replica) pair owns a full simulated device holding the
 // shard's rows (dist::extract_local_rows), a status slice, and the global
@@ -11,7 +11,7 @@
 // memory" a hard constraint the bench can demonstrate rather than a slide
 // claim.
 //
-// Replicas exist for availability, not throughput: the router routes each
+// Replicas exist for availability, not throughput: the server routes each
 // shard's work to any healthy replica (serve::HealthTracker breaker per
 // slot), kill_replica() models a lost GCD for chaos tests, and a shard
 // whose whole group is down degrades queries to partial results instead of
@@ -83,7 +83,7 @@ class ShardedStore {
     sim::DeviceBuffer<std::uint32_t> counters;
     sim::DeviceBuffer<std::uint64_t> edges;
     /// Sweeps serialize per replica (the device's modelled clocks are not
-    /// thread-safe); the router locks each query's chosen replicas in slot
+    /// thread-safe); the server locks each query's chosen replicas in slot
     /// order before running the distributed sweep.
     std::mutex mu;
     std::atomic<bool> dead{false};

@@ -22,6 +22,10 @@
 namespace xbfs::serve {
 namespace {
 
+// Cache key parts of a default-params BFS result.
+constexpr core::AlgoKind kBfs = core::AlgoKind::Bfs;
+const std::uint64_t kBfsHash = bfs_params_hash();
+
 using graph::vid_t;
 
 graph::Csr undirected_rmat(unsigned scale, std::uint64_t seed) {
@@ -53,14 +57,14 @@ CachedResult make_result(std::uint32_t depth) {
 TEST(DynResultCache, EpochBumpPurgesRetiredEpochs) {
   ResultCache cache(8, 1);
   cache.prime(100);
-  cache.put(100, 1, make_result(1));
-  cache.put(100, 2, make_result(1));
+  cache.put(100, kBfs, kBfsHash, 1, make_result(1));
+  cache.put(100, kBfs, kBfsHash, 2, make_result(1));
   EXPECT_EQ(cache.size(), 2u);
 
   const std::size_t purged = cache.epoch_bump(200);
   EXPECT_EQ(purged, 2u);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(static_cast<bool>(cache.get(100, 1)));
+  EXPECT_FALSE(static_cast<bool>(cache.get(100, kBfs, kBfsHash, 1)));
 
   const ResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.epoch_bumps, 1u);
@@ -70,10 +74,11 @@ TEST(DynResultCache, EpochBumpPurgesRetiredEpochs) {
 TEST(DynResultCache, EpochBumpKeepsCurrentEpochEntries) {
   ResultCache cache(8, 1);
   cache.prime(100);
-  cache.put(200, 1, make_result(1));  // already keyed under the new epoch
-  cache.put(100, 2, make_result(1));
+  // Already keyed under the new epoch.
+  cache.put(200, kBfs, kBfsHash, 1, make_result(1));
+  cache.put(100, kBfs, kBfsHash, 2, make_result(1));
   EXPECT_EQ(cache.epoch_bump(200), 1u);  // only the epoch-100 entry goes
-  EXPECT_TRUE(static_cast<bool>(cache.get(200, 1)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(200, kBfs, kBfsHash, 1)));
 }
 
 TEST(DynResultCache, LazyReapCountsAvoidedStaleHits) {
@@ -82,19 +87,21 @@ TEST(DynResultCache, LazyReapCountsAvoidedStaleHits) {
   ResultCache cache(8, 1);
   cache.prime(100);
   cache.epoch_bump(200);          // prev=100, current=200
-  cache.put(100, 7, make_result(1));  // straggler under the retired epoch
+  // A straggler under the retired epoch.
+  cache.put(100, kBfs, kBfsHash, 7, make_result(1));
   EXPECT_EQ(cache.size(), 1u);
 
   // Miss on the live key for the same source: the stale twin is dropped.
-  EXPECT_FALSE(static_cast<bool>(cache.get(200, 7)));
+  EXPECT_FALSE(static_cast<bool>(cache.get(200, kBfs, kBfsHash, 7)));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().stale_hits_avoided, 1u);
 }
 
 TEST(DynResultCache, UnprimedCacheNeverReaps) {
   ResultCache cache(8, 1);
-  cache.put(100, 7, make_result(1));
-  EXPECT_FALSE(static_cast<bool>(cache.get(200, 7)));  // plain miss
+  cache.put(100, kBfs, kBfsHash, 7, make_result(1));
+  // A plain miss.
+  EXPECT_FALSE(static_cast<bool>(cache.get(200, kBfs, kBfsHash, 7)));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().stale_hits_avoided, 0u);
 }
@@ -112,8 +119,8 @@ TEST(DynResultCache, CrossedShardReapsDoNotDeadlock) {
   auto same_shard = [](std::uint64_t fp_a, vid_t a, std::uint64_t fp_b,
                        vid_t b) {
     ResultCache probe(2, 2);
-    probe.put(fp_a, a, make_result(1));
-    probe.put(fp_b, b, make_result(1));
+    probe.put(fp_a, kBfs, kBfsHash, a, make_result(1));
+    probe.put(fp_b, kBfs, kBfsHash, b, make_result(1));
     return probe.stats().evictions == 1;
   };
   vid_t a = 0;
@@ -127,10 +134,14 @@ TEST(DynResultCache, CrossedShardReapsDoNotDeadlock) {
   cache.prime(kStale);
   cache.epoch_bump(kLive);
   // Late puts under the retired fingerprint, after the bump's sweep.
-  cache.put(kStale, a, make_result(1));
-  cache.put(kStale, b, make_result(1));
-  std::thread ta([&] { EXPECT_FALSE(static_cast<bool>(cache.get(kLive, a))); });
-  std::thread tb([&] { EXPECT_FALSE(static_cast<bool>(cache.get(kLive, b))); });
+  cache.put(kStale, kBfs, kBfsHash, a, make_result(1));
+  cache.put(kStale, kBfs, kBfsHash, b, make_result(1));
+  std::thread ta([&] {
+    EXPECT_FALSE(static_cast<bool>(cache.get(kLive, kBfs, kBfsHash, a)));
+  });
+  std::thread tb([&] {
+    EXPECT_FALSE(static_cast<bool>(cache.get(kLive, kBfs, kBfsHash, b)));
+  });
   ta.join();
   tb.join();
   EXPECT_EQ(cache.size(), 0u);

@@ -19,6 +19,10 @@
 namespace xbfs::serve {
 namespace {
 
+// Cache key parts of a default-params BFS result.
+constexpr core::AlgoKind kBfs = core::AlgoKind::Bfs;
+const std::uint64_t kBfsHash = bfs_params_hash();
+
 graph::Csr undirected_rmat(unsigned scale, std::uint64_t seed) {
   graph::RmatParams p;
   p.scale = scale;
@@ -45,13 +49,14 @@ TEST(ResultCache, LruEvictionAndCounters) {
     r.depth = static_cast<std::uint32_t>(depth);
     return r;
   };
-  cache.put(1, 10, mk(1));
-  cache.put(1, 11, mk(2));
-  EXPECT_TRUE(static_cast<bool>(cache.get(1, 10)));  // 10 is now MRU
-  cache.put(1, 12, mk(3));                           // evicts 11 (LRU)
-  EXPECT_FALSE(static_cast<bool>(cache.get(1, 11)));
-  EXPECT_TRUE(static_cast<bool>(cache.get(1, 10)));
-  EXPECT_TRUE(static_cast<bool>(cache.get(1, 12)));
+  cache.put(1, kBfs, kBfsHash, 10, mk(1));
+  cache.put(1, kBfs, kBfsHash, 11, mk(2));
+  // 10 is now MRU, so the third put evicts 11 (LRU).
+  EXPECT_TRUE(static_cast<bool>(cache.get(1, kBfs, kBfsHash, 10)));
+  cache.put(1, kBfs, kBfsHash, 12, mk(3));
+  EXPECT_FALSE(static_cast<bool>(cache.get(1, kBfs, kBfsHash, 11)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(1, kBfs, kBfsHash, 10)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(1, kBfs, kBfsHash, 12)));
 
   const ResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.inserts, 3u);
@@ -66,9 +71,9 @@ TEST(ResultCache, DistinctGraphFingerprintsDoNotCollide) {
   CachedResult r;
   r.levels = std::make_shared<const std::vector<std::int32_t>>(
       std::vector<std::int32_t>{0});
-  cache.put(/*graph_fp=*/111, /*source=*/5, r);
-  EXPECT_FALSE(static_cast<bool>(cache.get(222, 5)));
-  EXPECT_TRUE(static_cast<bool>(cache.get(111, 5)));
+  cache.put(/*graph_fp=*/111, kBfs, kBfsHash, /*source=*/5, r);
+  EXPECT_FALSE(static_cast<bool>(cache.get(222, kBfs, kBfsHash, 5)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(111, kBfs, kBfsHash, 5)));
 }
 
 TEST(ResultCache, ZeroCapacityIsDisabled) {
@@ -77,8 +82,8 @@ TEST(ResultCache, ZeroCapacityIsDisabled) {
   CachedResult r;
   r.levels = std::make_shared<const std::vector<std::int32_t>>(
       std::vector<std::int32_t>{0});
-  cache.put(1, 1, r);
-  EXPECT_FALSE(static_cast<bool>(cache.get(1, 1)));
+  cache.put(1, kBfs, kBfsHash, 1, r);
+  EXPECT_FALSE(static_cast<bool>(cache.get(1, kBfs, kBfsHash, 1)));
   EXPECT_EQ(cache.size(), 0u);
 }
 

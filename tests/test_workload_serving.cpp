@@ -20,8 +20,6 @@
 #include "graph/rmat.h"
 #include "serve/admission_queue.h"
 #include "serve/server.h"
-#include "shard/router.h"
-#include "shard/sharded_store.h"
 
 namespace xbfs::serve {
 namespace {
@@ -264,27 +262,6 @@ TEST(WorkloadServing, SubmitWithZeroTimeoutAndNoDefaultNeverExpires) {
   EXPECT_EQ(r.status, QueryStatus::Completed) << r.error.to_string();
   EXPECT_EQ(server.stats().expired, 0u);
   server.shutdown();
-}
-
-TEST(WorkloadServing, RouterZeroTimeoutInheritsNoDeadline) {
-  const graph::Csr g = undirected_rmat(9, 19);
-  shard::ShardStoreConfig scfg;
-  scfg.shards = 2;
-  scfg.device_options.num_workers = 1;
-  shard::ShardedStore store(g, scfg);
-  shard::RouterConfig rcfg;
-  rcfg.manual_dispatch = true;
-  rcfg.default_timeout_ms = 0.0;  // same historical trap on the router
-  shard::ShardRouter router(store, rcfg);
-
-  Admission a = router.submit(graph::largest_component_vertices(g)[0]);
-  ASSERT_TRUE(a.accepted) << a.status.to_string();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  router.dispatch_once();
-  const QueryResult r = a.result.get();
-  EXPECT_EQ(r.status, QueryStatus::Completed) << r.error.to_string();
-  EXPECT_EQ(router.stats().expired, 0u);
-  router.shutdown();
 }
 
 TEST(WorkloadServing, UpdateLaneDeadlineIsOwnedNotInherited) {
