@@ -5,7 +5,10 @@
 #   - every admitted query completed with validated-correct levels (the
 #     bench itself exits non-zero on any Failed query or lost accounting),
 #   - chaos p99 stays within 10x the fault-free p99,
-#   - the chaos run-report record carries the resilience counters.
+#   - the chaos run-report record carries the resilience counters,
+#   - the degraded and failed exemplar traces keep the one-attempt
+#     contract: one rung per device attempt or host fallback, and one
+#     fault / corrupt / error rung per matching failure event.
 #
 #   usage: check_resilience.sh <bench_serving-binary> [workdir]
 set -euo pipefail
@@ -77,6 +80,23 @@ assert int(scfg["failed"]) == 0
 # The escalation probe must have actually failed queries (that is its job).
 probe = next(s["config"] for s in serves if s["config"]["host_fallback"] == "0")
 assert int(probe["failed"]) > 0, "escalation probe produced no failed queries"
+
+# --- one-attempt contract on the exemplar traces ---------------------------
+# Every device attempt and host fallback records exactly one rung, and each
+# failed attempt's rung outcome matches its one failure event.
+for name in ("degraded_trace", "failed_trace"):
+    assert cfg.get(name), f"chaos record missing '{name}'"
+    trace = json.loads(cfg[name])
+    kinds = [e["kind"] for e in trace["events"]]
+    outcomes = [r["outcome"] for r in trace["rungs"]]
+    n = kinds.count
+    assert len(outcomes) == n("attempt") + n("host_fallback"), \
+        f"{name}: {len(outcomes)} rungs for {n('attempt')} attempts + " \
+        f"{n('host_fallback')} host fallbacks"
+    assert outcomes.count("fault") == n("fault"), f"{name}: fault rungs"
+    corrupt = n("validation_failed") + n("corrupted")
+    assert outcomes.count("corrupt") == corrupt, f"{name}: corrupt rungs"
+    assert outcomes.count("error") == n("error"), f"{name}: error rungs"
 
 print(f"OK: injected={cfg['injected']} seen={cfg['faults_seen']} "
       f"retries={cfg['retries']} "

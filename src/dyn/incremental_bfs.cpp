@@ -22,6 +22,26 @@ namespace {
 /// so kernels can skip tombstoned entries with one compare.
 constexpr vid_t kTombstone = static_cast<vid_t>(kUnvisited);
 
+/// Overflow row of `v` as [first, last) into the overflow cols; empty when
+/// `v` has none.  Binary search over the `ov_n` sorted overflow vertex ids,
+/// shared by every repair and fix kernel.
+std::pair<eid_t, eid_t> overflow_row(sim::ExecCtx& ctx,
+                                     sim::dspan<const vid_t> ov_vid,
+                                     sim::dspan<const eid_t> ov_off,
+                                     std::uint32_t ov_n, vid_t v) {
+  std::uint32_t lo = 0, hi = ov_n;
+  while (lo < hi) {
+    const std::uint32_t mid = (lo + hi) / 2;
+    if (ctx.load(ov_vid, mid) < v) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == ov_n || ctx.load(ov_vid, lo) != v) return {0, 0};
+  return {ctx.load(ov_off, lo), ctx.load(ov_off, lo + 1)};
+}
+
 }  // namespace
 
 IncrementalBfs::IncrementalBfs(sim::Device& dev, GraphStore& store,
@@ -389,24 +409,10 @@ void IncrementalBfs::run_passes(
             if (w == kTombstone) continue;
             relax(w);
           }
-          if (ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe; ++j) {
-                ++probed;
-                relax(ctx.load(ov_cols, j));
-              }
-            }
+          const auto [ob, oe] = overflow_row(ctx, ov_vid, ov_off, ov_n, v);
+          for (eid_t j = ob; j < oe; ++j) {
+            ++probed;
+            relax(ctx.load(ov_cols, j));
           }
           ctx.slots(probed, probed);
           if (claimed != 0) {
@@ -437,24 +443,12 @@ void IncrementalBfs::run_passes(
             if (w == kTombstone) continue;
             if (ctx.load(status, w) == cur_level) found = true;
           }
-          if (!found && ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe && !found; ++j) {
-                ++probed;
-                if (ctx.load(status, ctx.load(ov_cols, j)) == cur_level) {
-                  found = true;
-                }
+          if (!found) {
+            const auto [ob, oe] = overflow_row(ctx, ov_vid, ov_off, ov_n, v);
+            for (eid_t j = ob; j < oe && !found; ++j) {
+              ++probed;
+              if (ctx.load(status, ctx.load(ov_cols, j)) == cur_level) {
+                found = true;
               }
             }
           }
@@ -602,24 +596,10 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
             if (w == kTombstone) continue;
             relax(w);
           }
-          if (ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe; ++j) {
-                ++probed;
-                relax(ctx.load(ov_cols, j));
-              }
-            }
+          const auto [ob, oe] = overflow_row(ctx, ov_vid, ov_off, ov_n, v);
+          for (eid_t j = ob; j < oe; ++j) {
+            ++probed;
+            relax(ctx.load(ov_cols, j));
           }
           ctx.slots(probed, probed);
           if (claimed != 0) {
@@ -663,26 +643,12 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
             const std::uint32_t lw = ctx.load(status, w);
             if (lw < best) best = lw;
           }
-          if (ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe; ++j) {
-                ++probed;
-                const std::uint32_t lw =
-                    ctx.load(status, ctx.load(ov_cols, j));
-                if (lw < best) best = lw;
-              }
-            }
+          const auto [ob, oe] = overflow_row(ctx, ov_vid, ov_off, ov_n, v);
+          for (eid_t j = ob; j < oe; ++j) {
+            ++probed;
+            const std::uint32_t lw =
+                ctx.load(status, ctx.load(ov_cols, j));
+            if (lw < best) best = lw;
           }
           if (best == kUnvisited || best + 1 >= cur) {
             ctx.slots(probed, 0);

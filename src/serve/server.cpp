@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -834,6 +835,123 @@ bool Server::payload_validatable(core::AlgoKind k) const {
   return false;
 }
 
+template <class Lock, class Run, class Realize, class Validate>
+bool Server::attempt(Attempt& a, unsigned& attempts, xbfs::Status& last,
+                     Lock&& lock, Run&& run, Realize&& realize,
+                     Validate&& validate) {
+  if (attempts > 0) retries_.fetch_add(1, std::memory_order_relaxed);
+  ++attempts;
+  obs::QueryTrace* log = a.log;
+  const double attempt_us = wall_us();
+  if (log) {
+    log->event(attempt_us, "attempt",
+               a.attempt + " attempt=" + std::to_string(attempts));
+  }
+  // Declared outside the try: a faulted run keeps the partial counters it
+  // accumulated before the fault (the faulted launch itself attributes
+  // nothing — hipsim throws before executing it).
+  sim::AttributionSink sink;
+  unsigned corrupt_slot = HealthTracker::kNone;
+  std::uint64_t corrupt_copies = 0;
+  // The verdict: an ok status, or the failure, the slot it charges, and
+  // its trace event and rung outcome.
+  xbfs::Status why;
+  unsigned charged = a.home;
+  const char* event = "resolved";
+  const char* outcome = "ok";
+  std::string detail;
+  try {
+    {
+      auto held = lock();
+      // Detached and drained under the attempt's locks on every exit, so a
+      // copy this attempt corrupted can never surface in the next attempt
+      // on that device (its counters are plain fields other lanes mutate
+      // once the lock drops).
+      const auto detach = [&] {
+        for (const Touched& t : a.on) {
+          t.dev->attach_attribution(nullptr);
+          if (t.dev->take_pending_corruption()) {
+            corrupt_slot = t.slot;
+            corrupt_copies = t.dev->corrupted_copies();
+          }
+        }
+      };
+      for (const Touched& t : a.on) t.dev->attach_attribution(&sink);
+      try {
+        run();
+      } catch (...) {
+        detach();
+        throw;
+      }
+      detach();
+    }
+    // A corrupt verdict charges the device whose copy was corrupt.
+    const bool corrupt = corrupt_slot != HealthTracker::kNone;
+    if (corrupt) charged = corrupt_slot;
+    std::optional<std::string> verr;
+    if (corrupt && !realize(corrupt_copies)) {
+      why = xbfs::Status::Corruption(
+          std::string("transfer corruption pending on ") + a.engine);
+      event = "corrupted";
+      outcome = "corrupt";
+      if (log) detail = a.engine;
+    } else if ((verr = validate()) && !verr->empty()) {
+      why = xbfs::Status::Corruption(*verr);
+      event = "validation_failed";
+      outcome = "corrupt";
+      detail = std::move(*verr);
+    } else if (verr) {
+      validated_results_.fetch_add(a.shared, std::memory_order_relaxed);
+      if (log) log->event(wall_us(), "validated");
+    }
+  } catch (const shard::ShardSweepFault& f) {
+    charged = sharded_->slot(f.shard(), f.replica());
+    why = xbfs::Status::Fault(f.what());
+    event = outcome = "fault";
+    if (log) {
+      detail = "slot=s" + std::to_string(f.shard()) + "r" +
+               std::to_string(f.replica()) + " " + f.what();
+    }
+  } catch (const sim::FaultInjected& e) {
+    why = xbfs::Status::Fault(e.what());
+    event = outcome = "fault";
+    if (log) detail = e.what();
+  } catch (const std::exception& e) {
+    why = xbfs::Status::Internal(e.what());
+    event = outcome = "error";
+    if (log) detail = e.what();
+  }
+
+  if (why.ok()) {
+    // A straggler keeps its result but its home slot eats a breaker
+    // failure instead of a success (which would reset the failure streak).
+    const bool straggler = note_dispatch_time(a.home, a.dispatch_us);
+    for (const Touched& t : a.on) {
+      if (!straggler || t.slot != a.home) health_.record_success(t.slot);
+    }
+  } else {
+    last = note_attempt_failure(charged, why, a.primary);
+    // Hand back the allow() grant of every slot the failure does not
+    // charge: a HalfOpen breaker's probe token would otherwise stay
+    // outstanding and that device would never serve again.
+    for (const Touched& t : a.on) {
+      if (t.slot != charged) health_.release(t.slot);
+    }
+    a.charged = charged;
+  }
+  if (log) {
+    log->event(wall_us(), event, std::move(why.ok() ? a.resolved : detail));
+    log->rung(make_rung(sink, a.engine, outcome, a.home, attempts, a.rung,
+                        a.shared, attempt_us, wall_us()));
+  }
+  if (why.ok()) return true;
+  if (why == xbfs::StatusCode::DataCorruption) {
+    obs::FlightRecorder::global().trigger("validation_failure");
+  }
+  backoff(attempts);
+  return false;
+}
+
 Server::Resolution Server::resolve_query(unsigned preferred,
                                          const core::AlgoQuery& q,
                                          unsigned attempts_so_far,
@@ -885,142 +1003,75 @@ Server::Resolution Server::resolve_query(unsigned preferred,
         break;
       }
       if (g != preferred) rerouted_.fetch_add(1, std::memory_order_relaxed);
-      if (out.attempts > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-      ++out.attempts;
       --budget;
       Gcd& gcd = *gcds_[g];
       core::AlgorithmEngine& eng = *gcd.ladders[kidx][rung];
-      const double attempt_us = wall_us();
+      const Touched on[] = {{g, gcd.dev.get()}};
+      Attempt a{.on = on, .home = g, .engine = eng.name(),
+                .rung = static_cast<unsigned>(rung), .primary = primary,
+                .log = log, .dispatch_us = dispatch_us};
       if (log) {
-        log->event(attempt_us, "attempt",
-                   "engine=" + std::string(eng.name()) + " gcd=" +
-                       std::to_string(g) + " rung=" + std::to_string(rung) +
-                       " attempt=" + std::to_string(out.attempts));
+        a.resolved =
+            "engine=" + std::string(eng.name()) + " gcd=" + std::to_string(g);
+        a.attempt = a.resolved + " rung=" + std::to_string(rung);
       }
-      // Declared outside the try: a faulted run keeps the partial counters
-      // it accumulated before the fault (the faulted launch itself
-      // attributes nothing — hipsim throws before executing it).
-      sim::AttributionSink sink;
-      try {
-        core::AlgoResult ar;
-        bool corrupted = false;
-        dyn::Snapshot dsnap;
-        dyn::IncrementalBfs::LastRun dlr;
-        {
-          std::lock_guard<sim::RankedMutex> lk(gcd.mu);
-          sim::ScopedAttribution attr(*gcd.dev, sink);
-          ar = eng.solve(q);
-          corrupted = gcd.dev->take_pending_corruption();
-          // Dynamic: pin the exact snapshot this run used (still under the
-          // GCD lock — served() follows solve()'s serialization) so
-          // validation and the cache key match the graph that was served,
-          // not whatever epoch the store is on by now.
-          if (gcd.inc && q.algo == core::AlgoKind::Bfs) {
-            dsnap = gcd.inc->served();
-            dlr = gcd.inc->last_run();
-          } else if (gcd.inc_cc && q.algo == core::AlgoKind::Cc) {
-            dsnap = gcd.inc_cc->served();
-          }
-        }
-        if (log && dlr.valid) {
-          log->event(wall_us(), dlr.repair ? "repair" : "recompute",
-                     "epoch=" + std::to_string(dlr.epoch) + " dirty=" +
-                         std::to_string(dlr.dirty) + " seeds=" +
-                         std::to_string(dlr.seeds) +
-                         (dlr.fallback[0] != '\0'
-                              ? std::string(" fallback=") + dlr.fallback
-                              : std::string()));
-        }
-        if (corrupted) {
-          if (q.algo == core::AlgoKind::Bfs && ar.payload.levels) {
+      core::AlgoResult ar;
+      dyn::Snapshot dsnap;
+      const bool ok = attempt(
+          a, out.attempts, last, [&] { return std::unique_lock(gcd.mu); },
+          [&] {
+            ar = eng.solve(q);
+            // Dynamic: pin the exact snapshot this run used (still under
+            // the GCD lock — served() follows solve()'s serialization) so
+            // validation and the cache key match the graph that was served,
+            // not whatever epoch the store is on by now.
+            if (gcd.inc && q.algo == core::AlgoKind::Bfs) {
+              dsnap = gcd.inc->served();
+              const dyn::IncrementalBfs::LastRun& dlr = gcd.inc->last_run();
+              if (log && dlr.valid) {
+                log->event(wall_us(), dlr.repair ? "repair" : "recompute",
+                           "epoch=" + std::to_string(dlr.epoch) + " dirty=" +
+                               std::to_string(dlr.dirty) + " seeds=" +
+                               std::to_string(dlr.seeds) +
+                               (dlr.fallback[0] != '\0'
+                                    ? std::string(" fallback=") + dlr.fallback
+                                    : std::string()));
+              }
+            } else if (gcd.inc_cc && q.algo == core::AlgoKind::Cc) {
+              dsnap = gcd.inc_cc->served();
+            }
+          },
+          [&](std::uint64_t) {
+            // Non-BFS payloads have no realization hook: the attempt fails
+            // rather than serve a payload the detector can't check.
+            if (q.algo != core::AlgoKind::Bfs || !ar.payload.levels) {
+              return false;
+            }
             // The modelled copy moved no real bytes; realize the corruption
-            // on the levels so validation (when active) sees it — the
-            // pre-redesign behavior.
+            // on the levels so validation (when active) sees it.
             std::vector<std::int32_t> lv = *ar.payload.levels;
             sim::FaultInjector::global().corrupt_levels(lv);
             ar.payload.levels =
                 std::make_shared<const std::vector<std::int32_t>>(
                     std::move(lv));
-          } else {
-            // Non-BFS payloads have no realization hook; treat the pending
-            // transfer corruption as a failed attempt rather than serving
-            // a payload the detector can't check.
-            last = note_attempt_failure(
-                g,
-                xbfs::Status::Corruption("transfer corruption pending on " +
-                                         std::string(eng.name())),
-                primary);
-            if (log) {
-              log->event(wall_us(), "corrupted", eng.name());
-              log->rung(make_rung(sink, eng.name(), "corrupt", g,
-                                  out.attempts, static_cast<unsigned>(rung),
-                                  1, attempt_us, wall_us()));
-            }
-            obs::FlightRecorder::global().trigger("validation_failure");
-            backoff(out.attempts);
-            continue;
-          }
-        }
-        if (validate) {
-          const std::string verr = validate_payload(q, ar.payload, dsnap);
-          if (!verr.empty()) {
-            last = note_attempt_failure(g, xbfs::Status::Corruption(verr),
-                                        primary);
-            if (log) {
-              log->event(wall_us(), "validation_failed", verr);
-              log->rung(make_rung(sink, eng.name(), "corrupt", g,
-                                  out.attempts, static_cast<unsigned>(rung),
-                                  1, attempt_us, wall_us()));
-            }
-            obs::FlightRecorder::global().trigger("validation_failure");
-            backoff(out.attempts);
-            continue;
-          }
-          validated_results_.fetch_add(1, std::memory_order_relaxed);
-          if (log) log->event(wall_us(), "validated");
-        }
-        // A straggler keeps its result but eats a breaker failure instead
-        // of a success (which would reset the failure streak).
-        if (!note_dispatch_time(g, dispatch_us)) health_.record_success(g);
-        out.res = std::move(ar.payload);
-        out.modelled_ms = ar.total_ms;
-        out.engine = eng.name();
-        out.gcd = g;
-        out.fp = dsnap ? dsnap.fingerprint
-                       : graph_fp_.load(std::memory_order_acquire);
-        // Degraded: a failed sweep preceded this, or we are below rung 0.
-        out.degraded = attempts_so_far > 0 || rung > 0;
-        out.validated = validate;
-        out.status = xbfs::Status::Ok();
-        if (log) {
-          log->rung(make_rung(sink, out.engine, "ok", g, out.attempts,
-                              static_cast<unsigned>(rung), 1, attempt_us,
-                              wall_us()));
-          log->event(wall_us(), "resolved",
-                     "engine=" + out.engine + " gcd=" + std::to_string(g));
-        }
-        return out;
-      } catch (const sim::FaultInjected& e) {
-        last = note_attempt_failure(g, xbfs::Status::Fault(e.what()),
-                                    primary);
-        if (log) {
-          log->event(wall_us(), "fault", e.what());
-          log->rung(make_rung(sink, eng.name(), "fault", g, out.attempts,
-                              static_cast<unsigned>(rung), 1, attempt_us,
-                              wall_us()));
-        }
-        backoff(out.attempts);
-      } catch (const std::exception& e) {
-        last = note_attempt_failure(g, xbfs::Status::Internal(e.what()),
-                                    primary);
-        if (log) {
-          log->event(wall_us(), "error", e.what());
-          log->rung(make_rung(sink, eng.name(), "error", g, out.attempts,
-                              static_cast<unsigned>(rung), 1, attempt_us,
-                              wall_us()));
-        }
-        backoff(out.attempts);
-      }
+            return true;
+          },
+          [&]() -> std::optional<std::string> {
+            if (!validate) return std::nullopt;
+            return validate_payload(q, ar.payload, dsnap);
+          });
+      if (!ok) continue;
+      out.res = std::move(ar.payload);
+      out.modelled_ms = ar.total_ms;
+      out.engine = eng.name();
+      out.gcd = g;
+      out.fp = dsnap ? dsnap.fingerprint
+                     : graph_fp_.load(std::memory_order_acquire);
+      // Degraded: a failed sweep preceded this, or we are below rung 0.
+      out.degraded = attempts_so_far > 0 || rung > 0;
+      out.validated = validate;
+      out.status = xbfs::Status::Ok();
+      return out;
     }
   }
 
@@ -1146,24 +1197,22 @@ bool Server::resolve_sharded(const core::AlgoQuery& q, double dispatch_us,
   obs::QueryTrace* log = out.log.get();
   std::vector<char> excluded(sharded_->num_slots(), 0);
   std::vector<int> plan;
-  auto slot_of = [&](unsigned s) {
-    return sharded_->slot(s, static_cast<unsigned>(plan[s]));
-  };
-  // A failed or abandoned attempt hands back the allow() grant of every
-  // planned slot it does not charge: a HalfOpen breaker's probe token would
-  // otherwise stay outstanding and that replica would never serve again.
-  auto release_plan = [&](unsigned charged) {
-    for (unsigned s = 0; s < S; ++s) {
-      if (plan[s] != shard::ShardSweep::kLost && slot_of(s) != charged) {
-        health_.release(slot_of(s));
-      }
-    }
-  };
+  std::vector<Touched> on;
+  on.reserve(S);
 
-  for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
-    const unsigned lost = build_plan(primary, attempt, excluded, plan, log);
+  for (unsigned round = 0; round < cfg_.max_attempts; ++round) {
+    const unsigned lost = build_plan(primary, round, excluded, plan, log);
+    on.clear();
+    for (unsigned s = 0; s < S; ++s) {
+      if (plan[s] == shard::ShardSweep::kLost) continue;
+      const auto r = static_cast<unsigned>(plan[s]);
+      on.push_back(
+          {sharded_->slot(s, r), sharded_->replica(s, r).device.get()});
+    }
     if (plan[owner] == shard::ShardSweep::kLost) {
-      release_plan(HealthTracker::kNone);
+      // Abandoned before the sweep: hand back every planned slot's grant
+      // (a HalfOpen breaker's probe token would otherwise stay outstanding).
+      for (const Touched& t : on) health_.release(t.slot);
       last = xbfs::Status::Unavailable("source shard " +
                                        std::to_string(owner) +
                                        " has no healthy replica");
@@ -1171,139 +1220,96 @@ bool Server::resolve_sharded(const core::AlgoQuery& q, double dispatch_us,
       if (log) log->event(wall_us(), "unavailable", last.detail());
       return false;
     }
-    const unsigned home = slot_of(owner);
-    if (out.attempts > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-    ++out.attempts;
-
-    // Chosen replicas locked in ascending slot order (plans are iterated
-    // by shard, and slots grow with shard) — overlapping plans from
-    // concurrent lanes serialize instead of deadlocking.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(S);
-    for (unsigned s = 0; s < S; ++s) {
-      if (plan[s] == shard::ShardSweep::kLost) continue;
-      locks.emplace_back(
-          sharded_->replica(s, static_cast<unsigned>(plan[s])).mu);
-    }
+    const unsigned home =
+        sharded_->slot(owner, static_cast<unsigned>(plan[owner]));
+    Attempt a{.on = on, .home = home, .engine = "shard-sweep",
+              .primary = primary, .log = log, .dispatch_us = dispatch_us};
     if (log) {
-      log->event(wall_us(), "attempt",
-                 "engine=shard-sweep live=" + std::to_string(S - lost) +
-                     " lost=" + std::to_string(lost) +
-                     " attempt=" + std::to_string(out.attempts));
+      a.attempt = "engine=shard-sweep live=" + std::to_string(S - lost) +
+                  " lost=" + std::to_string(lost);
+      a.resolved = "engine=shard-sweep slot=" + std::to_string(home);
     }
-    try {
-      shard::ShardSweepResult sw = sweep_->run(q.source, plan);
-      unsigned corrupt_slot = HealthTracker::kNone;
-      for (unsigned s = 0; s < S; ++s) {
-        if (plan[s] == shard::ShardSweep::kLost) continue;
-        if (sharded_->replica(s, static_cast<unsigned>(plan[s]))
-                .device->take_pending_corruption()) {
-          corrupt_slot = slot_of(s);
-        }
-      }
-      locks.clear();
-      if (corrupt_slot != HealthTracker::kNone) {
-        // The modelled copy moved no real bytes; realize the corruption so
-        // validation can see it.
-        sim::FaultInjector::global().corrupt_levels(sw.levels);
-      }
-      // Partial results are never validated: edges into a lost range
-      // legitimately break the level rules.
-      const bool checked = validate && !sw.partial;
-      if (checked) {
-        const std::string verr =
-            graph::validate_levels_graph500(*host_g_, q.source, sw.levels);
-        if (!verr.empty()) {
-          const unsigned charged =
-              corrupt_slot != HealthTracker::kNone ? corrupt_slot : home;
-          last = note_attempt_failure(charged, xbfs::Status::Corruption(verr),
-                                      primary);
-          release_plan(charged);
-          excluded[charged] = 1;
-          if (log) log->event(wall_us(), "validation_failed", verr);
-          obs::FlightRecorder::global().trigger("validation_failure");
-          backoff(out.attempts);
-          continue;
-        }
-        validated_results_.fetch_add(1, std::memory_order_relaxed);
-        if (log) log->event(wall_us(), "validated");
-      }
-      // A straggler keeps its result but its home slot eats a breaker
-      // failure instead of a success.
-      const bool straggler = note_dispatch_time(home, dispatch_us);
-      for (unsigned s = 0; s < S; ++s) {
-        if (plan[s] == shard::ShardSweep::kLost) continue;
-        if (straggler && slot_of(s) == home) continue;
-        health_.record_success(slot_of(s));
-      }
-
-      levels_swept_.fetch_add(sw.level_stats.size(),
-                              std::memory_order_relaxed);
-      std::uint64_t two = 0;
-      for (const shard::ShardLevelStats& st : sw.level_stats) {
-        two += st.two_phase;
-      }
-      two_phase_levels_.fetch_add(two, std::memory_order_relaxed);
-      exchange_raw_bytes_.fetch_add(sw.raw_bytes, std::memory_order_relaxed);
-      exchange_wire_bytes_.fetch_add(sw.wire_bytes,
-                                     std::memory_order_relaxed);
-      lost_shard_events_.fetch_add(sw.shards_lost, std::memory_order_relaxed);
-      obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-      if (mx.enabled()) {
-        mx.histogram("shard.sweep_modelled_ms").observe(sw.total_ms);
-        mx.histogram("shard.sweep_comm_ms").observe(sw.comm_ms);
-      }
-
-      out.res.kind = core::AlgoKind::Bfs;
-      out.res.levels = std::make_shared<const std::vector<std::int32_t>>(
-          std::move(sw.levels));
-      out.res.depth = sw.depth;
-      out.modelled_ms = sw.total_ms;
-      out.engine = "shard-sweep";
-      out.gcd = home;
-      out.fp = graph_fp_.load(std::memory_order_acquire);
-      out.partial = sw.partial;
-      out.shards_lost = sw.shards_lost;
-      out.degraded = sw.partial || out.attempts > 1;
-      out.validated = checked;
-      out.status = xbfs::Status::Ok();
-      if (sw.partial) {
-        out.status = xbfs::Status::Unavailable(
-            std::to_string(sw.shards_lost) +
-            " shard(s) had no healthy replica; their vertex ranges report "
-            "-1");
-        partial_queries_.fetch_add(1, std::memory_order_relaxed);
-        if (mx.enabled()) mx.counter("serve.partial").add();
-        if (log) {
-          log->event(wall_us(), "partial",
-                     "lost=" + std::to_string(sw.shards_lost));
-        }
-      }
-      if (log) {
-        log->event(wall_us(), "resolved",
-                   "engine=shard-sweep slot=" + std::to_string(home) +
-                       " depth=" + std::to_string(sw.depth));
-      }
-      return true;
-    } catch (const shard::ShardSweepFault& f) {
-      locks.clear();
-      const unsigned sl = sharded_->slot(f.shard(), f.replica());
-      last = note_attempt_failure(sl, xbfs::Status::Fault(f.what()), primary);
-      release_plan(sl);
-      excluded[sl] = 1;
-      if (log) {
-        log->event(wall_us(), "fault",
-                   "slot=s" + std::to_string(f.shard()) + "r" +
-                       std::to_string(f.replica()) + " " + f.what());
-      }
-      backoff(out.attempts);
-    } catch (const std::exception& e) {
-      locks.clear();
-      release_plan(HealthTracker::kNone);
-      last = xbfs::Status::Internal(e.what());
-      if (log) log->event(wall_us(), "error", e.what());
-      backoff(out.attempts);
+    shard::ShardSweepResult sw;
+    const bool ok = attempt(
+        a, out.attempts, last,
+        [&] {
+          // Chosen replicas locked in ascending slot order (plans are
+          // iterated by shard, and slots grow with shard) — overlapping
+          // plans from concurrent lanes serialize instead of deadlocking.
+          std::vector<std::unique_lock<std::mutex>> held;
+          held.reserve(S);
+          for (unsigned s = 0; s < S; ++s) {
+            if (plan[s] == shard::ShardSweep::kLost) continue;
+            held.emplace_back(
+                sharded_->replica(s, static_cast<unsigned>(plan[s])).mu);
+          }
+          return held;
+        },
+        [&] {
+          sw = sweep_->run(q.source, plan);
+          if (log) {
+            if (sw.partial) {
+              log->event(wall_us(), "partial",
+                         "lost=" + std::to_string(sw.shards_lost));
+            }
+            a.resolved += " depth=" + std::to_string(sw.depth);
+          }
+        },
+        [&](std::uint64_t) {
+          // The modelled copy moved no real bytes; realize the corruption
+          // so validation can see it.
+          sim::FaultInjector::global().corrupt_levels(sw.levels);
+          return true;
+        },
+        [&]() -> std::optional<std::string> {
+          // Partial results are never validated: edges into a lost range
+          // legitimately break the level rules.
+          if (!validate || sw.partial) return std::nullopt;
+          return graph::validate_levels_graph500(*host_g_, q.source,
+                                                 sw.levels);
+        });
+    if (!ok) {
+      excluded[a.charged] = 1;
+      continue;
     }
+
+    levels_swept_.fetch_add(sw.level_stats.size(), std::memory_order_relaxed);
+    std::uint64_t two = 0;
+    for (const shard::ShardLevelStats& st : sw.level_stats) {
+      two += st.two_phase;
+    }
+    two_phase_levels_.fetch_add(two, std::memory_order_relaxed);
+    exchange_raw_bytes_.fetch_add(sw.raw_bytes, std::memory_order_relaxed);
+    exchange_wire_bytes_.fetch_add(sw.wire_bytes, std::memory_order_relaxed);
+    lost_shard_events_.fetch_add(sw.shards_lost, std::memory_order_relaxed);
+    obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
+    if (mx.enabled()) {
+      mx.histogram("shard.sweep_modelled_ms").observe(sw.total_ms);
+      mx.histogram("shard.sweep_comm_ms").observe(sw.comm_ms);
+    }
+
+    out.res.kind = core::AlgoKind::Bfs;
+    out.res.levels = std::make_shared<const std::vector<std::int32_t>>(
+        std::move(sw.levels));
+    out.res.depth = sw.depth;
+    out.modelled_ms = sw.total_ms;
+    out.engine = "shard-sweep";
+    out.gcd = home;
+    out.fp = graph_fp_.load(std::memory_order_acquire);
+    out.partial = sw.partial;
+    out.shards_lost = sw.shards_lost;
+    out.degraded = sw.partial || out.attempts > 1;
+    out.validated = validate && !sw.partial;
+    out.status = xbfs::Status::Ok();
+    if (sw.partial) {
+      out.status = xbfs::Status::Unavailable(
+          std::to_string(sw.shards_lost) +
+          " shard(s) had no healthy replica; their vertex ranges report "
+          "-1");
+      partial_queries_.fetch_add(1, std::memory_order_relaxed);
+      if (mx.enabled()) mx.counter("serve.partial").add();
+    }
+    return true;
   }
   return false;
 }
@@ -1409,118 +1415,64 @@ void Server::run_batch(unsigned worker,
     // Stage 1: the shared 64-way sweep, retried across healthy GCDs.  One
     // corrupted or faulted attempt fails the whole unit; per-source
     // resolution below is the degradation path.
+    const auto members = static_cast<unsigned>(batch.size());
+    xbfs::Status sweep_failure;  // per-source resolution reports its own
     while (sweep_attempts < cfg_.max_attempts) {
       const unsigned g = health_.pick(worker, wall_us());
       if (g == HealthTracker::kNone) break;
       if (g != worker) rerouted_.fetch_add(1, std::memory_order_relaxed);
-      if (sweep_attempts > 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ++sweep_attempts;
       Gcd& gcd = *gcds_[g];
-      const double attempt_us = wall_us();
+      const Touched on[] = {{g, gcd.dev.get()}};
+      Attempt a{.on = on, .home = g, .engine = "sweep", .shared = members,
+                .log = batch_log.get(), .dispatch_us = dispatch_us};
       if (batch_log) {
-        batch_log->event(attempt_us, "attempt",
-                         "engine=sweep gcd=" + std::to_string(g) +
-                             " members=" + std::to_string(batch.size()) +
-                             " attempt=" + std::to_string(sweep_attempts));
+        a.resolved = "engine=sweep gcd=" + std::to_string(g);
+        a.attempt = a.resolved + " members=" + std::to_string(members);
       }
-      sim::AttributionSink sink;
-      try {
-        algos::MultiBfsResult r;
-        bool corrupted = false;
-        std::uint64_t corrupt_pick = 0;
-        {
-          std::lock_guard<sim::RankedMutex> lk(gcd.mu);
-          sim::ScopedAttribution attr(*gcd.dev, sink);
-          r = algos::multi_source_bfs(*gcd.dev, gcd.dg, batch);
-          corrupted = gcd.dev->take_pending_corruption();
-          // The device counters are plain fields; read them only while
-          // holding the device (rerouted lanes mutate them concurrently).
-          if (corrupted) corrupt_pick = gcd.dev->corrupted_copies();
-        }
-        if (corrupted) {
-          // The modelled copy moved no real bytes; realize the corruption
-          // on one deterministic source's levels so validation sees it.
-          sim::FaultInjector::global().corrupt_levels(
-              r.levels[corrupt_pick % batch.size()]);
-        }
-        if (validate) {
-          std::string verr;
-          for (std::size_t i = 0; i < batch.size() && verr.empty(); ++i) {
-            verr = graph::validate_levels_graph500(*host_g_, batch[i],
-                                                   r.levels[i]);
-          }
-          if (!verr.empty()) {
-            note_attempt_failure(g, xbfs::Status::Corruption(verr));
-            if (batch_log) {
-              batch_log->event(wall_us(), "validation_failed", verr);
-              batch_log->rung(make_rung(
-                  sink, "sweep", "corrupt", g, sweep_attempts, 0,
-                  static_cast<unsigned>(batch.size()), attempt_us,
-                  wall_us()));
+      algos::MultiBfsResult r;
+      const bool ok = attempt(
+          a, sweep_attempts, sweep_failure,
+          [&] { return std::unique_lock(gcd.mu); },
+          [&] { r = algos::multi_source_bfs(*gcd.dev, gcd.dg, batch); },
+          [&](std::uint64_t copies) {
+            // The modelled copy moved no real bytes; realize the corruption
+            // on one deterministic source's levels so validation sees it.
+            sim::FaultInjector::global().corrupt_levels(
+                r.levels[copies % batch.size()]);
+            return true;
+          },
+          [&]() -> std::optional<std::string> {
+            if (!validate) return std::nullopt;
+            std::string verr;
+            for (std::size_t i = 0; i < batch.size() && verr.empty(); ++i) {
+              verr = graph::validate_levels_graph500(*host_g_, batch[i],
+                                                     r.levels[i]);
             }
-            obs::FlightRecorder::global().trigger("validation_failure");
-            backoff(sweep_attempts);
-            continue;
-          }
-          validated_results_.fetch_add(batch.size(),
-                                       std::memory_order_relaxed);
-          if (batch_log) batch_log->event(wall_us(), "validated");
+            return verr;
+          });
+      if (!ok) continue;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        std::int32_t max_level = 0;
+        for (const std::int32_t lv : r.levels[i]) {
+          max_level = std::max(max_level, lv);
         }
-        // A straggler keeps its result but eats a breaker failure instead
-        // of a success (which would reset the failure streak).
-        if (!note_dispatch_time(g, dispatch_us)) health_.record_success(g);
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          std::int32_t max_level = 0;
-          for (const std::int32_t lv : r.levels[i]) {
-            max_level = std::max(max_level, lv);
-          }
-          Resolution& o = outcomes[i];
-          o.res.kind = core::AlgoKind::Bfs;
-          o.res.levels = std::make_shared<const std::vector<std::int32_t>>(
-              std::move(r.levels[i]));
-          // Same convention as every TraversalEngine: number of BFS levels
-          // run, i.e. deepest reached level + 1.
-          o.res.depth = static_cast<std::uint32_t>(max_level) + 1;
-          o.engine = "sweep";
-          o.attempts = sweep_attempts;
-          o.gcd = g;
-          o.validated = validate;
-          o.status = xbfs::Status::Ok();
-          o.fp = graph_fp_.load(std::memory_order_acquire);
-        }
-        modelled_ms += r.total_ms;
-        solved = true;
-        if (batch_log) {
-          batch_log->rung(make_rung(sink, "sweep", "ok", g, sweep_attempts,
-                                    0, static_cast<unsigned>(batch.size()),
-                                    attempt_us, wall_us()));
-          batch_log->event(wall_us(), "resolved",
-                           "engine=sweep gcd=" + std::to_string(g));
-        }
-        break;
-      } catch (const sim::FaultInjected& e) {
-        note_attempt_failure(g, xbfs::Status::Fault(e.what()));
-        if (batch_log) {
-          batch_log->event(wall_us(), "fault", e.what());
-          batch_log->rung(make_rung(sink, "sweep", "fault", g,
-                                    sweep_attempts, 0,
-                                    static_cast<unsigned>(batch.size()),
-                                    attempt_us, wall_us()));
-        }
-        backoff(sweep_attempts);
-      } catch (const std::exception& e) {
-        note_attempt_failure(g, xbfs::Status::Internal(e.what()));
-        if (batch_log) {
-          batch_log->event(wall_us(), "error", e.what());
-          batch_log->rung(make_rung(sink, "sweep", "error", g,
-                                    sweep_attempts, 0,
-                                    static_cast<unsigned>(batch.size()),
-                                    attempt_us, wall_us()));
-        }
-        backoff(sweep_attempts);
+        Resolution& o = outcomes[i];
+        o.res.kind = core::AlgoKind::Bfs;
+        o.res.levels = std::make_shared<const std::vector<std::int32_t>>(
+            std::move(r.levels[i]));
+        // Same convention as every TraversalEngine: number of BFS levels
+        // run, i.e. deepest reached level + 1.
+        o.res.depth = static_cast<std::uint32_t>(max_level) + 1;
+        o.engine = "sweep";
+        o.attempts = sweep_attempts;
+        o.gcd = g;
+        o.validated = validate;
+        o.status = xbfs::Status::Ok();
+        o.fp = graph_fp_.load(std::memory_order_acquire);
       }
+      modelled_ms += r.total_ms;
+      solved = true;
+      break;
     }
   }
 

@@ -56,6 +56,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -519,6 +521,41 @@ class Server {
   /// its record_success, which would reset the breaker's failure streak
   /// and erase the penalty.
   bool note_dispatch_time(unsigned gcd, double dispatch_us);
+
+  /// A device one attempt runs on and the health slot it answers to.
+  struct Touched {
+    unsigned slot = 0;
+    sim::Device* dev = nullptr;
+  };
+  /// What one device attempt is: an engine ladder rung, a 64-way sweep or
+  /// a sharded sweep differ only in these fields and attempt()'s steps.
+  struct Attempt {
+    std::span<const Touched> on;  ///< every device touched, in lock order
+    unsigned home = 0;    ///< slot charged when a failure names no device
+    const char* engine = "";
+    unsigned rung = 0;    ///< ladder index (0 for sweeps)
+    unsigned shared = 1;  ///< queries sharing the work (sweep members)
+    QueryId primary = 0;  ///< flight-recorder tag; 0 = batch-shared work
+    obs::QueryTrace* log = nullptr;
+    double dispatch_us = 0.0;  ///< start of the straggler budget
+    std::string attempt = {};   ///< "attempt" detail before " attempt=N"
+    std::string resolved = {};  ///< "resolved" detail; `run` may extend it
+    unsigned charged = HealthTracker::kNone;  ///< out: slot a failure charged
+  };
+  /// The one device-attempt path: counts the attempt, runs `run()` under
+  /// `lock()` with one AttributionSink on every device of `a.on`, and on
+  /// every exit detaches it and drains the devices' pending transfer
+  /// corruption.  A corrupt device's copy count goes to `realize` (false =
+  /// the payload cannot carry it), then `validate` runs (nullopt = nothing
+  /// checked, "" = valid).  A failure is charged to the slot a
+  /// ShardSweepFault names, else the corrupt slot, else `a.home`; it
+  /// releases every other slot's grant, records the rung, sets `last` and
+  /// backs off.  Success runs the straggler check on `a.home` and records
+  /// success on the other slots.
+  template <class Lock, class Run, class Realize, class Validate>
+  bool attempt(Attempt& a, unsigned& attempts, xbfs::Status& last,
+               Lock&& lock, Run&& run, Realize&& realize,
+               Validate&& validate);
   /// Resolve one query through its kind's per-GCD engine ladder, then the
   /// host fallback.  `attempts_so_far` carries sweep attempts already
   /// burned (reporting only; the ladder gets its own max_attempts budget).
@@ -526,7 +563,7 @@ class Server {
                            unsigned attempts_so_far, double dispatch_us,
                            QueryId primary);
   /// The sharded backing's device attempts (the ladder's stand-in): plan a
-  /// replica per shard, lock, sweep, check, annotate partial results.
+  /// replica per shard, then one attempt() that locks them and sweeps.
   /// Returns true with `out` resolved; false leaves `last` as the failure
   /// and the caller falls through to the host rung.
   bool resolve_sharded(const core::AlgoQuery& q, double dispatch_us,

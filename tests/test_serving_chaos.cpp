@@ -248,6 +248,58 @@ TEST_F(ServingChaos, RecoveryAfterFaultsStopServesOnTheDeviceAgain) {
   server.shutdown();
 }
 
+TEST_F(ServingChaos, CorruptedCopyThenFaultDoesNotLeakIntoTheNextAttempt) {
+  // Regression: an attempt that corrupted a copy and then faulted left the
+  // device's pending-corruption flag set.  The next attempt on that GCD
+  // then poisoned its own levels — with faults off and validation off, a
+  // wrong answer was served as Completed.
+  const graph::Csr g = toy_graph(9, 46);
+  const auto giant = graph::largest_component_vertices(g);
+  ASSERT_GE(giant.size(), 40u);
+
+  ServeConfig cfg = chaos_config();
+  cfg.max_attempts = 1;  // one device attempt, then the host rung
+  inject(/*kernel=*/0.05, /*memcpy=*/1.0, /*seed=*/16);
+  Server server(g, cfg);
+  sim::FaultInjector& faults = sim::FaultInjector::global();
+  QueryOptions qo;
+  qo.bypass_cache = true;
+
+  bool faulted_after_copy = false;
+  for (std::size_t i = 0; i < 32 && !faulted_after_copy; ++i) {
+    const std::uint64_t copies =
+        faults.injected(sim::FaultKind::MemcpyCorruption);
+    const std::uint64_t rejected = server.stats().validation_failures;
+    Admission a = server.submit(giant[i], qo);
+    ASSERT_TRUE(a.accepted);
+    server.dispatch_once();
+    const QueryResult r = a.result.get();
+    ASSERT_EQ(r.status, QueryStatus::Completed) << r.error.to_string();
+    faulted_after_copy =
+        r.engine == "cpu-serial" &&
+        faults.injected(sim::FaultKind::MemcpyCorruption) > copies &&
+        server.stats().validation_failures == rejected;
+  }
+  ASSERT_TRUE(faulted_after_copy)
+      << "no attempt corrupted a copy, then faulted";
+
+  // Faults off (and with them validation): the device must serve the
+  // reference answer once its breaker lets it back in.
+  faults.disable();
+  QueryResult back;
+  for (int tries = 0; tries < 50; ++tries) {
+    Admission a = server.submit(giant[39], qo);
+    ASSERT_TRUE(a.accepted);
+    server.dispatch_once();
+    back = a.result.get();
+    ASSERT_EQ(back.status, QueryStatus::Completed);
+    EXPECT_EQ(*back.levels, graph::reference_bfs(g, giant[39]));
+    if (back.engine != "cpu-serial") break;
+  }
+  EXPECT_NE(back.engine, "cpu-serial") << "the device never served again";
+  server.shutdown();
+}
+
 // --- circuit breaker state machine ------------------------------------------
 
 TEST_F(ServingChaos, BreakerTripsCoolsProbesAndRecovers) {

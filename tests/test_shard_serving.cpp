@@ -373,6 +373,27 @@ TEST_F(ShardServing, OutcomesNoReplicaProducedBurnOnlyTheAggregateLane) {
   eng.disable();
 }
 
+TEST_F(ShardServing, CleanQueryRecordsOneShardSweepRung) {
+  const graph::Csr g = toy_graph(9, 27);
+  const auto giant = graph::largest_component_vertices(g);
+  ShardedStore store(g, store_cfg(2, 2));
+  serve::Server server(store, manual_cfg());
+
+  const serve::QueryResult r = run_one(server, giant[0]);
+  ASSERT_EQ(r.status, serve::QueryStatus::Completed) << r.error.to_string();
+  ASSERT_NE(r.trace, nullptr);
+  const std::vector<obs::RungAttribution> rungs = r.trace->rungs();
+  ASSERT_EQ(rungs.size(), 1u);
+  EXPECT_EQ(rungs[0].engine, "shard-sweep");
+  EXPECT_EQ(rungs[0].outcome, "ok");
+  EXPECT_EQ(rungs[0].gcd, r.gcd);
+  EXPECT_EQ(rungs[0].attempt, 1u);
+  EXPECT_EQ(rungs[0].shared_members, 1u);
+  EXPECT_GT(rungs[0].launches, 0u);
+  EXPECT_GT(rungs[0].modelled_us, 0.0);
+  server.shutdown();
+}
+
 // --- chaos: injected faults against the sharded tier -------------------------
 
 class ShardChaos : public ShardServing {
@@ -558,6 +579,80 @@ TEST_F(ShardChaos, AbandonedPlansHandBackHalfOpenProbeTokens) {
   }
   EXPECT_EQ(shard1_state(0), serve::BreakerState::Closed);
   EXPECT_EQ(shard1_state(1), serve::BreakerState::Closed);
+  server.shutdown();
+}
+
+TEST_F(ShardChaos, RetriedQueryRecordsOneRungPerAttempt) {
+  const graph::Csr g = toy_graph(9, 31);
+  const auto giant = graph::largest_component_vertices(g);
+  ShardedStore store(g, store_cfg(2, 2));
+  serve::ServeConfig cfg = manual_cfg();
+  cfg.max_attempts = 6;
+  cfg.host_fallback = false;
+  inject(/*kernel=*/0.01, /*memcpy=*/0.0, /*seed=*/56);
+  serve::Server server(store, cfg);
+
+  serve::QueryResult r;
+  for (std::size_t i = 0; i < 32 && r.attempts < 2; ++i) {
+    serve::QueryOptions qo;
+    qo.bypass_cache = true;
+    r = run_one(server, giant[i % giant.size()], qo);
+    ASSERT_EQ(r.status, serve::QueryStatus::Completed) << r.error.to_string();
+  }
+  ASSERT_GE(r.attempts, 2u) << "no query needed a retry";
+  ASSERT_NE(r.trace, nullptr);
+  const std::vector<obs::RungAttribution> rungs = r.trace->rungs();
+  ASSERT_EQ(rungs.size(), r.attempts);
+  for (std::size_t k = 0; k < rungs.size(); ++k) {
+    EXPECT_EQ(rungs[k].engine, "shard-sweep");
+    EXPECT_EQ(rungs[k].attempt, k + 1);
+    EXPECT_EQ(rungs[k].outcome, k + 1 < rungs.size() ? "fault" : "ok");
+  }
+  EXPECT_EQ(rungs.back().gcd, r.gcd);
+  server.shutdown();
+}
+
+TEST_F(ShardChaos, CorruptedCopyThenFaultDoesNotLeakIntoTheNextSweep) {
+  // Regression: a sweep that corrupted a copy on some replica and then
+  // faulted left that replica's pending-corruption flag set, so the next
+  // sweep through it poisoned its levels — served as Completed once
+  // faults (and validation) were off.
+  const graph::Csr g = toy_graph(9, 38);
+  const auto giant = graph::largest_component_vertices(g);
+  ASSERT_GE(giant.size(), 40u);
+  ShardedStore store(g, store_cfg(2));
+  serve::ServeConfig cfg = manual_cfg();
+  cfg.max_attempts = 1;  // one sweep, then the host rung
+  inject(/*kernel=*/0.02, /*memcpy=*/1.0, /*seed=*/57);
+  serve::Server server(store, cfg);
+  sim::FaultInjector& faults = sim::FaultInjector::global();
+  serve::QueryOptions qo;
+  qo.bypass_cache = true;
+
+  bool faulted_after_copy = false;
+  for (std::size_t i = 0; i < 32 && !faulted_after_copy; ++i) {
+    const std::uint64_t copies =
+        faults.injected(sim::FaultKind::MemcpyCorruption);
+    const std::uint64_t rejected = server.stats().validation_failures;
+    const serve::QueryResult r = run_one(server, giant[i], qo);
+    ASSERT_EQ(r.status, serve::QueryStatus::Completed) << r.error.to_string();
+    faulted_after_copy =
+        r.engine == "cpu-serial" &&
+        faults.injected(sim::FaultKind::MemcpyCorruption) > copies &&
+        server.stats().validation_failures == rejected;
+  }
+  ASSERT_TRUE(faulted_after_copy) << "no sweep corrupted a copy, then faulted";
+
+  faults.disable();
+  serve::QueryResult back;
+  for (int tries = 0; tries < 50; ++tries) {
+    back = run_one(server, giant[39], qo);
+    ASSERT_EQ(back.status, serve::QueryStatus::Completed);
+    EXPECT_EQ(*back.levels, graph::reference_bfs(g, giant[39]));
+    if (back.engine == "shard-sweep") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(back.engine, "shard-sweep") << "no replica served again";
   server.shutdown();
 }
 
