@@ -1,11 +1,11 @@
 #include "dyn/incremental_bfs.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "core/frontier.h"
 #include "core/report.h"
 #include "core/status.h"
 
@@ -56,7 +56,6 @@ IncrementalBfs::IncrementalBfs(sim::Device& dev, GraphStore& store,
   d_queue_a_ = dev_.alloc<vid_t>(cap, "dyn.queue_a");
   d_queue_b_ = dev_.alloc<vid_t>(cap, "dyn.queue_b");
   d_dirty_ = dev_.alloc<vid_t>(cap, "dyn.dirty");
-  d_seeds_ = dev_.alloc<vid_t>(cap, "dyn.seeds");
   d_counters_ = dev_.alloc<std::uint32_t>(1, "dyn.counters");
   d_edge_counter_ = dev_.alloc<std::uint64_t>(1, "dyn.edge_counter");
   status_host_.resize(n);
@@ -291,212 +290,15 @@ IncrementalBfs::RepairPlan IncrementalBfs::plan_repair(
   return p;
 }
 
-void IncrementalBfs::run_passes(
-    const Snapshot& snap,
-    const std::map<std::uint32_t, std::vector<vid_t>>& seeds,
-    bool allow_pull, core::BfsResult& result) {
-  sim::Stream& s = dev_.stream(0);
-  const DeltaCsr& g = *snap.graph;
-  const vid_t n = g.num_vertices();
-  const std::uint64_t m = std::max<std::uint64_t>(1, g.num_edges());
-
-  auto offsets = d_offsets_.cspan();
-  auto cols = d_cols_.cspan();
-  auto ov_vid = d_ov_vid_.cspan();
-  auto ov_off = d_ov_off_.cspan();
-  auto ov_cols = d_ov_cols_.cspan();
-  auto status = d_status_.span();
-  auto counters = d_counters_.span();
-  auto edge_counter = d_edge_counter_.span();
-  const std::uint32_t ov_n = ov_count_;
-
-  auto seed_it = seeds.begin();
-  std::uint32_t level = seed_it == seeds.end() ? 0 : seed_it->first;
-  std::uint32_t cur_count = 0;
-  std::uint64_t cur_edges = 0;
-  bool cur_is_a = true;
-
-  while (true) {
-    if (seed_it != seeds.end() && seed_it->first == level) {
-      const std::vector<vid_t>& sv = seed_it->second;
-      d_seeds_.h_copy_from(sv.data(), sv.size());
-      dev_.memcpy_h2d(s, sv.size() * sizeof(vid_t));
-      d_seeds_.mark_device_synced();
-      core::launch_append_queue(
-          dev_, s, d_seeds_.cspan(), static_cast<std::uint32_t>(sv.size()),
-          (cur_is_a ? d_queue_a_ : d_queue_b_).span(), cur_count,
-          cfg_.block_threads);
-      cur_count += static_cast<std::uint32_t>(sv.size());
-      for (const vid_t v : sv) cur_edges += g.degree(v);
-      ++seed_it;
-    }
-    if (cur_count == 0) {
-      if (seed_it == seeds.end()) break;
-      level = seed_it->first;  // dead stretch between seed buckets
-      continue;
-    }
-    if (level > n + 1) break;  // safety net; levels are < n by construction
-
-    dev_.profiler().set_context(static_cast<int>(level), "incremental");
-    const double level_t0 = dev_.now_us();
-    {
-      sim::LaunchConfig rc{.grid_blocks = 1, .block_threads = 64};
-      dev_.launch(s, "dyn_reset_counters", rc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        blk.threads([&](unsigned t) {
-          if (t == 0) {
-            ctx.store(counters, 0, std::uint32_t{0});
-            ctx.store(edge_counter, 0, std::uint64_t{0});
-          }
-        });
-      });
-    }
-
-    auto cur_queue = (cur_is_a ? d_queue_a_ : d_queue_b_).cspan();
-    auto next_queue = (cur_is_a ? d_queue_b_ : d_queue_a_).span();
-    const std::uint32_t next = level + 1;
-    const std::uint32_t cur_level = level;
-    const double ratio = static_cast<double>(cur_edges) / static_cast<double>(m);
-    // The r-vs-alpha analogue, per pass: a wide frontier flips to the
-    // bottom-up (pull) scan of the whole vertex range.  Pull's
-    // settled-support argument needs decrease-free labels, which a full
-    // recompute guarantees.
-    const bool pull = allow_pull && ratio > cfg_.alpha;
-    const std::uint64_t scan_count = n;
-
-    sim::LaunchConfig lc;
-    lc.block_threads = cfg_.block_threads;
-    const std::uint64_t work = pull ? scan_count : cur_count;
-    lc.grid_blocks = cfg_.grid_blocks != 0
-                         ? cfg_.grid_blocks
-                         : core::auto_grid_blocks(dev_.profile(),
-                                                  std::max<std::uint64_t>(1, work),
-                                                  cfg_.block_threads);
-
-    if (!pull) {
-      const std::uint32_t count = cur_count;
-      dev_.launch(s, "dyn_repair_push", lc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        // Frontier-entry status pre-checks and neighbor degree loads race
-        // with other blocks' atomic_min claims; the claim itself is atomic
-        // and exactly-once (prior > next filters duplicates).
-        sim::racy_ok allow(ctx,
-                           "dyn-push: stale-entry status pre-check vs "
-                           "concurrent atomic_min claims (decrease-only "
-                           "relaxation; duplicates filtered by prior value)");
-        blk.grid_stride(count, [&](std::uint64_t i) {
-          const vid_t v = ctx.load(cur_queue, i);
-          if (ctx.load(status, v) != cur_level) return;  // stale entry
-          std::uint64_t probed = 0;
-          std::uint64_t claimed_deg = 0;
-          std::uint32_t claimed = 0;
-          const auto relax = [&](vid_t w) {
-            const std::uint32_t prior = ctx.atomic_min(status, w, next);
-            if (prior > next) {
-              const std::uint32_t slot =
-                  ctx.atomic_add(counters, 0, std::uint32_t{1});
-              ctx.store(next_queue, slot, w);
-              claimed_deg +=
-                  ctx.load(offsets, w + 1) - ctx.load(offsets, w);
-              ++claimed;
-            }
-          };
-          const eid_t b = ctx.load(offsets, v);
-          const eid_t e = ctx.load(offsets, v + 1);
-          for (eid_t j = b; j < e; ++j) {
-            const vid_t w = ctx.load(cols, j);
-            ++probed;
-            if (w == kTombstone) continue;
-            relax(w);
-          }
-          const auto [ob, oe] = overflow_row(ctx, ov_vid, ov_off, ov_n, v);
-          for (eid_t j = ob; j < oe; ++j) {
-            ++probed;
-            relax(ctx.load(ov_cols, j));
-          }
-          ctx.slots(probed, probed);
-          if (claimed != 0) {
-            ctx.atomic_add(edge_counter, 0, claimed_deg);
-          }
-        });
-      });
-    } else {
-      dev_.launch(s, "dyn_repair_pull", lc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        // The candidate pre-check and the neighbor status probes race with
-        // other blocks' claims; both directions of the race either defer
-        // the vertex to a later pass or re-claim the same value.
-        sim::racy_ok allow(ctx,
-                           "dyn-pull: unsynchronized status probes vs "
-                           "concurrent atomic_min claims (settled labels "
-                           "are final in recompute passes)");
-        blk.grid_stride(scan_count, [&](std::uint64_t i) {
-          const vid_t v = static_cast<vid_t>(i);
-          if (ctx.load(status, v) <= next) return;  // settled at or better
-          std::uint64_t probed = 0;
-          bool found = false;
-          const eid_t b = ctx.load(offsets, v);
-          const eid_t e = ctx.load(offsets, v + 1);
-          for (eid_t j = b; j < e && !found; ++j) {
-            const vid_t w = ctx.load(cols, j);
-            ++probed;
-            if (w == kTombstone) continue;
-            if (ctx.load(status, w) == cur_level) found = true;
-          }
-          if (!found) {
-            const auto [ob, oe] = overflow_row(ctx, ov_vid, ov_off, ov_n, v);
-            for (eid_t j = ob; j < oe && !found; ++j) {
-              ++probed;
-              if (ctx.load(status, ctx.load(ov_cols, j)) == cur_level) {
-                found = true;
-              }
-            }
-          }
-          ctx.slots(probed, found ? probed : 0);
-          if (found) {
-            const std::uint32_t prior = ctx.atomic_min(status, v, next);
-            if (prior > next) {
-              const std::uint32_t slot =
-                  ctx.atomic_add(counters, 0, std::uint32_t{1});
-              ctx.store(next_queue, slot, v);
-              ctx.atomic_add(edge_counter, 0,
-                             ctx.load(offsets, v + 1) - ctx.load(offsets, v));
-            }
-          }
-        });
-      });
-    }
-
-    s.synchronize();
-    dev_.memcpy_d2h(s, d_counters_, d_edge_counter_);
-    const std::uint32_t next_count = d_counters_.h_read(0);
-    const std::uint64_t next_edges = d_edge_counter_.h_read(0);
-
-    core::LevelStats st;
-    st.level = level;
-    st.strategy = pull ? core::Strategy::BottomUp : core::Strategy::ScanFree;
-    st.frontier_count = cur_count;
-    st.frontier_edges = cur_edges;
-    st.ratio = ratio;
-    st.time_ms = (dev_.now_us() - level_t0) / 1000.0;
-    st.kernels = 2;
-    result.level_stats.push_back(st);
-
-    cur_is_a = !cur_is_a;
-    cur_count = next_count;
-    cur_edges = next_edges;
-    ++level;
-  }
-}
-
 bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
                                   const std::vector<vid_t>& seed_vec,
-                                  bool pull_mode, std::uint32_t dirty_count,
+                                  Pull pull, std::uint32_t dirty_count,
                                   core::BfsResult& result) {
   sim::Stream& s = dev_.stream(0);
   const DeltaCsr& g = *snap.graph;
   const vid_t n = g.num_vertices();
-  if (seed_vec.empty() && (!pull_mode || dirty_count == 0)) {
+  const std::uint64_t m = std::max<std::uint64_t>(1, g.num_edges());
+  if (seed_vec.empty() && pull != Pull::kDirty) {
     return true;  // nothing can improve; the prior labels stand
   }
 
@@ -511,9 +313,20 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
   auto dirty = d_dirty_.cspan();
   const std::uint32_t ov_n = ov_count_;
   const std::uint32_t qcap = static_cast<std::uint32_t>(n);
+  const auto grid = [&](std::uint64_t work) {
+    sim::LaunchConfig lc;
+    lc.block_threads = cfg_.block_threads;
+    lc.grid_blocks = cfg_.grid_blocks != 0
+                         ? cfg_.grid_blocks
+                         : core::auto_grid_blocks(
+                               dev_.profile(),
+                               std::max<std::uint64_t>(1, work),
+                               cfg_.block_threads);
+    return lc;
+  };
 
-  // The whole repair frontier goes in at once (one host write, no
-  // per-bucket append kernels); rounds then run to quiescence.
+  // The whole frontier goes in at once (one host write, no per-bucket
+  // append kernels); rounds then run to quiescence.
   if (!seed_vec.empty()) {
     d_queue_a_.h_copy_from(seed_vec.data(), seed_vec.size());
     dev_.memcpy_h2d(s, seed_vec.size() * sizeof(vid_t));
@@ -544,22 +357,18 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
 
     auto cur_queue = (cur_is_a ? d_queue_a_ : d_queue_b_).cspan();
     auto next_queue = (cur_is_a ? d_queue_b_ : d_queue_a_).span();
-    const bool do_pull = pull_mode && dirty_count != 0;
+    const double ratio =
+        static_cast<double>(cur_edges) / static_cast<double>(m);
+    // The paper's r-vs-alpha flip, per round of a recompute: a wide
+    // frontier scans the whole vertex range bottom-up instead of pushing.
+    const bool scan = pull == Pull::kScan && ratio > cfg_.alpha;
+    const bool dirty_pull = pull == Pull::kDirty;
     unsigned kernels = 1;  // the counter reset
 
-    if (cur_count != 0) {
-      sim::LaunchConfig lc;
-      lc.block_threads = cfg_.block_threads;
-      lc.grid_blocks =
-          cfg_.grid_blocks != 0
-              ? cfg_.grid_blocks
-              : core::auto_grid_blocks(
-                    dev_.profile(),
-                    std::max<std::uint64_t>(1, cur_count),
-                    cfg_.block_threads);
+    if (cur_count != 0 && !scan) {
       ++kernels;
       const std::uint32_t count = cur_count;
-      dev_.launch(s, "dyn_fix_push", lc, [=](sim::BlockCtx& blk) {
+      dev_.launch(s, "dyn_fix_push", grid(count), [=](sim::BlockCtx& blk) {
         auto& ctx = blk.ctx();
         // Frontier label reads race with other blocks' atomic_min
         // decreases: a stale (higher) read only weakens this relaxation,
@@ -608,19 +417,61 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
         });
       });
     }
-    if (do_pull) {
-      sim::LaunchConfig lc;
-      lc.block_threads = cfg_.block_threads;
-      lc.grid_blocks =
-          cfg_.grid_blocks != 0
-              ? cfg_.grid_blocks
-              : core::auto_grid_blocks(
-                    dev_.profile(),
-                    std::max<std::uint64_t>(1, dirty_count),
-                    cfg_.block_threads);
+    if (scan) {
+      ++kernels;
+      // Seeded with {src} at level 0, round k's queue is exactly level k,
+      // so finding one neighbor at level `round` settles a vertex.
+      const std::uint32_t cur_level = round;
+      const std::uint32_t next = round + 1;
+      dev_.launch(s, "dyn_repair_pull", grid(n), [=](sim::BlockCtx& blk) {
+        auto& ctx = blk.ctx();
+        // The candidate pre-check and the neighbor status probes race with
+        // other blocks' claims; both directions of the race either defer
+        // the vertex to a later round or re-claim the same value.
+        sim::racy_ok allow(ctx,
+                           "dyn-pull: unsynchronized status probes vs "
+                           "concurrent atomic_min claims (settled labels "
+                           "are final in recompute rounds)");
+        blk.grid_stride(n, [&](std::uint64_t i) {
+          const vid_t v = static_cast<vid_t>(i);
+          if (ctx.load(status, v) <= next) return;  // settled at or better
+          std::uint64_t probed = 0;
+          bool found = false;
+          const eid_t b = ctx.load(offsets, v);
+          const eid_t e = ctx.load(offsets, v + 1);
+          for (eid_t j = b; j < e && !found; ++j) {
+            const vid_t w = ctx.load(cols, j);
+            ++probed;
+            if (w == kTombstone) continue;
+            if (ctx.load(status, w) == cur_level) found = true;
+          }
+          if (!found) {
+            const auto [ob, oe] = overflow_row(ctx, ov_vid, ov_off, ov_n, v);
+            for (eid_t j = ob; j < oe && !found; ++j) {
+              ++probed;
+              if (ctx.load(status, ctx.load(ov_cols, j)) == cur_level) {
+                found = true;
+              }
+            }
+          }
+          ctx.slots(probed, found ? probed : 0);
+          if (found) {
+            const std::uint32_t prior = ctx.atomic_min(status, v, next);
+            if (prior > next) {
+              const std::uint32_t slot =
+                  ctx.atomic_add(counters, 0, std::uint32_t{1});
+              ctx.store(next_queue, slot, v);
+              ctx.atomic_add(edge_counter, 0,
+                             ctx.load(offsets, v + 1) - ctx.load(offsets, v));
+            }
+          }
+        });
+      });
+    }
+    if (dirty_pull) {
       ++kernels;
       const std::uint32_t dirty_n = dirty_count;
-      dev_.launch(s, "dyn_fix_pull", lc, [=](sim::BlockCtx& blk) {
+      dev_.launch(s, "dyn_fix_pull", grid(dirty_n), [=](sim::BlockCtx& blk) {
         auto& ctx = blk.ctx();
         // Neighbor label probes race with concurrent atomic_min
         // decreases: reading a label high only defers the improvement to
@@ -676,12 +527,11 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
 
     core::LevelStats st;
     st.level = round;
-    st.strategy =
-        do_pull ? core::Strategy::BottomUp : core::Strategy::ScanFree;
+    st.strategy = scan || dirty_pull ? core::Strategy::BottomUp
+                                     : core::Strategy::ScanFree;
     st.frontier_count = cur_count;
     st.frontier_edges = cur_edges;
-    st.ratio = static_cast<double>(cur_edges) /
-               static_cast<double>(std::max<graph::eid_t>(1, g.num_edges()));
+    st.ratio = ratio;
     st.time_ms = (dev_.now_us() - round_t0) / 1000.0;
     st.kernels = kernels;
     result.level_stats.push_back(st);
@@ -780,7 +630,8 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
     // (4|V| bytes h2d), which is what it pays instead of re-traversing.
     d_status_.h_copy_from(status_host_.data(), n);
     dev_.memcpy_h2d(s, d_status_);
-    if (!run_fixpoint(snap, seed_vec, pull_mode, dirty_count, result)) {
+    if (!run_fixpoint(snap, seed_vec, pull_mode ? Pull::kDirty : Pull::kNone,
+                      dirty_count, result)) {
       // Repair queue overflowed its |V| capacity — the footprint estimate
       // was wrong in the same direction the ratio bound guards against.
       repair = false;
@@ -792,11 +643,11 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
   if (!repair) {
     std::fill(status_host_.begin(), status_host_.end(), kUnvisited);
     status_host_[src] = 0;
-    std::map<std::uint32_t, std::vector<vid_t>> seeds;
-    seeds[0].push_back(src);
     d_status_.h_copy_from(status_host_.data(), n);
     dev_.memcpy_h2d(s, d_status_);
-    run_passes(snap, seeds, /*allow_pull=*/true, result);
+    // A single-source run claims each vertex once, so its queue never
+    // outgrows |V|: this fixpoint cannot overflow.
+    run_fixpoint(snap, {src}, Pull::kScan, 0, result);
   }
 
   dev_.memcpy_d2h(s, d_status_);

@@ -30,9 +30,12 @@
 //   3. Policy: when (|D| + seeds) / |V| exceeds
 //      XbfsConfig::dyn_repair_ratio — the dynamic analogue of the paper's
 //      r-vs-alpha bound — repair would touch too much of the graph and the
-//      engine falls back to a full recompute: the classic level-synchronous
-//      bucket machinery seeded with {src@0}, everything dirty, bottom-up
-//      passes chosen per level by the same alpha ratio.
+//      engine falls back to a full recompute: the same fixpoint, seeded
+//      with {src} over an all-unvisited status array, so its rounds are
+//      the BFS levels.  Each round pushes (dyn_fix_push) while the
+//      frontier's edges stay under alpha x |E| and otherwise scans every
+//      vertex bottom-up (dyn_repair_pull); repairs push with dyn_fix_push
+//      and, in pull mode, add dyn_fix_pull over the dirty list.
 //
 // Device state is a mirror of the DeltaCsr: the flat base CSR uploaded
 // once per base_version (re-uploaded after compact()), deletions patched
@@ -46,7 +49,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -138,21 +140,25 @@ class IncrementalBfs final : public core::TraversalEngine {
   RepairPlan plan_repair(const DeltaCsr& g,
                          const std::vector<std::int32_t>& old_levels,
                          const EdgeBatch& ops, graph::vid_t src) const;
-  /// Full-recompute path: the level-synchronous push/pull pass loop over
-  /// whatever status_host_ was seeded with (per-level seed buckets,
-  /// bottom-up scans over the full vertex range past alpha).
-  void run_passes(const Snapshot& snap,
-                  const std::map<std::uint32_t,
-                                 std::vector<graph::vid_t>>& seeds,
-                  bool allow_pull, core::BfsResult& result);
-  /// Repair path: asynchronous decrease-only fixpoint from `seeds` (all
-  /// injected up front).  In `pull_mode` every round additionally scans
-  /// the dirty list (d_dirty_, `dirty_count` entries) bottom-up, so hub
-  /// boundaries never have to be pushed; rounds run until no label
-  /// improves.  Returns false on queue overflow (caller falls back to
+  /// How the rounds of run_fixpoint pull bottom-up.
+  enum class Pull {
+    kNone,   ///< top-down repair: push the queue only
+    /// Bottom-up repair: every round also pulls 1+min over neighbors into
+    /// the dirty list (d_dirty_, `dirty_count` entries), so hub
+    /// boundaries never have to be pushed.
+    kDirty,
+    /// Recompute from {src}: a round whose frontier edges exceed alpha x
+    /// |E| scans every vertex for a neighbor at the round's level instead
+    /// of pushing.  Needs level-synchronous labels, i.e. one source at 0.
+    kScan,
+  };
+  /// The one frontier loop, for repair and recompute alike: an
+  /// asynchronous decrease-only fixpoint over d_status_ from `seeds` (all
+  /// injected up front), round after round until no label improves.
+  /// Returns false on queue overflow (a repair caller falls back to
   /// recompute).
   bool run_fixpoint(const Snapshot& snap,
-                    const std::vector<graph::vid_t>& seeds, bool pull_mode,
+                    const std::vector<graph::vid_t>& seeds, Pull pull,
                     std::uint32_t dirty_count, core::BfsResult& result);
   void remember(graph::vid_t src, const std::vector<std::int32_t>& levels,
                 std::uint64_t epoch);
@@ -183,7 +189,6 @@ class IncrementalBfs final : public core::TraversalEngine {
   sim::DeviceBuffer<graph::vid_t> d_queue_a_;
   sim::DeviceBuffer<graph::vid_t> d_queue_b_;
   sim::DeviceBuffer<graph::vid_t> d_dirty_;
-  sim::DeviceBuffer<graph::vid_t> d_seeds_;
   sim::DeviceBuffer<std::uint32_t> d_counters_;      ///< [0] next-queue tail
   sim::DeviceBuffer<std::uint64_t> d_edge_counter_;  ///< [0] claimed degree
   std::vector<std::uint32_t> status_host_;

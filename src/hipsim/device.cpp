@@ -26,6 +26,7 @@ Device::Device(DeviceProfile profile, SimOptions options)
     worker_shmem_.push_back(std::make_unique<ShMem>(options_.lds_bytes));
   }
   streams_.emplace_back(this, "default");
+  profiler_.set_enabled(options_.profiling);
   trace_pid_ = g_next_trace_pid.fetch_add(1, std::memory_order_relaxed);
   set_trace_label(profile_.name + " #" + std::to_string(trace_pid_));
 }

@@ -207,19 +207,4 @@ class Device {
   AttributionSink* attr_sink_ = nullptr;
 };
 
-/// RAII attach/detach for AttributionSink around one attributed scope.
-class ScopedAttribution {
- public:
-  ScopedAttribution(Device& dev, AttributionSink& sink) : dev_(dev) {
-    dev_.attach_attribution(&sink);
-  }
-  ~ScopedAttribution() { dev_.attach_attribution(nullptr); }
-
-  ScopedAttribution(const ScopedAttribution&) = delete;
-  ScopedAttribution& operator=(const ScopedAttribution&) = delete;
-
- private:
-  Device& dev_;
-};
-
 }  // namespace xbfs::sim

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "dyn/delta_ref.h"
@@ -465,6 +467,91 @@ TEST(DynIncremental, SmallBatchRepairBeatsRecompute) {
   EXPECT_LT(repair_ms, recompute_ms)
       << "incremental repair should beat full recompute on a small batch";
 }
+
+// A recompute runs the repair fixpoint seeded with {src}; a round whose
+// frontier edges exceed alpha x |E| scans bottom-up instead of pushing.
+// Params: (alpha, simulator workers).
+class DynRecompute
+    : public ::testing::TestWithParam<std::tuple<double, unsigned>> {};
+
+TEST_P(DynRecompute, ChurnedUncompactedGraphMatchesReference) {
+  const auto [alpha, workers] = GetParam();
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  p.seed = 21;
+  const graph::Csr base = graph::rmat_csr(p);
+  const vid_t n = base.num_vertices();
+
+  sim::Device dev{sim::DeviceProfile::mi250x_gcd(),
+                  sim::SimOptions{.num_workers = workers}};
+  GraphStore store(base);
+  core::XbfsConfig cfg;
+  cfg.report_runs = false;
+  cfg.alpha = alpha;
+  IncrementalBfs eng(dev, store, cfg);
+  const vid_t src = 0;
+  eng.run(src);
+
+  // Churn that leaves tombstones and an insert overlay on the device.
+  std::mt19937_64 rng(13);
+  std::uniform_int_distribution<vid_t> pick(0, n - 1);
+  for (int round = 0; round < 4; ++round) {
+    EdgeBatch b;
+    const Snapshot cur = store.snapshot();
+    for (int i = 0; i < 64; ++i) {
+      const vid_t u = pick(rng);
+      const vid_t v = pick(rng);
+      if (u == v) continue;
+      if (cur.graph->has_edge(u, v)) {
+        b.erase(u, v);
+      } else {
+        b.insert(u, v);
+      }
+    }
+    store.apply(b);
+  }
+  const Snapshot snap = store.snapshot();
+  ASSERT_EQ(snap.graph->base_version(), 0u) << "churn compacted the overlay";
+  ASSERT_GT(snap.graph->tombstone_entries(), 0u);
+  ASSERT_GT(snap.graph->extra_entries(), 0u);
+
+  eng.clear_history();
+  const core::BfsResult got = eng.run(src);
+  ASSERT_FALSE(eng.last_run().repair);
+  ASSERT_EQ(got.levels, reference_bfs(*snap.graph, src));
+  EXPECT_TRUE(validate_levels(*snap.graph, src, got.levels).empty());
+
+  // Rounds are the BFS levels, each pushed or pulled by the alpha rule.
+  ASSERT_EQ(got.level_stats.size(), got.depth);
+  std::size_t pulled = 0;
+  for (const core::LevelStats& st : got.level_stats) {
+    const bool pull = st.strategy == core::Strategy::BottomUp;
+    EXPECT_EQ(pull, st.ratio > alpha) << "round " << st.level;
+    pulled += pull ? 1 : 0;
+  }
+  // Pull rounds forced off at 2.0 and on at 1e-6 (a round pushes there only
+  // when its frontier has no counted edge); the default alpha mixes both.
+  if (alpha > 1.0) {
+    EXPECT_EQ(pulled, 0u);
+  } else {
+    EXPECT_GT(pulled, 0u);
+  }
+  if (alpha == core::XbfsConfig{}.alpha) {
+    EXPECT_LT(pulled, got.level_stats.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AlphaWorkers, DynRecompute,
+    ::testing::Combine(::testing::Values(1e-6, 0.1, 2.0),
+                       ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<std::tuple<double, unsigned>>& info) {
+      const double alpha = std::get<0>(info.param);
+      const char* a = alpha < 1e-3 ? "pull_all" : alpha > 1.0 ? "push_all"
+                                                              : "default";
+      return std::string(a) + "_w" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(DynIncremental, StatsReadableWhileRunning) {
   EngineFixture fx;

@@ -206,6 +206,13 @@ TEST(Profiler, DisabledProfilerRecordsNothing) {
   EXPECT_TRUE(dev.profiler().records().empty());
 }
 
+TEST(Profiler, ProfilingOptionOffRecordsNothing) {
+  Device dev(DeviceProfile::test_profile(),
+             SimOptions{.num_workers = 1, .profiling = false});
+  dev.launch("k", LaunchConfig{1, 32, 1.0}, [](BlockCtx&) {});
+  EXPECT_TRUE(dev.profiler().records().empty());
+}
+
 TEST(Profiler, MatchingAndTotalsFilterBySubstring) {
   Device dev = make_device();
   dev.launch("alpha_one", LaunchConfig{1, 32, 1.0}, [](BlockCtx&) {});
